@@ -62,8 +62,8 @@ int Main() {
   Hr();
 
   CloudPrices prices;
-  double averted_usd = stats.hits / 1000.0 * prices.s3_get_per_1k;
-  double issued_usd = gets_during_queries / 1000.0 * prices.s3_get_per_1k;
+  double averted_usd = stats.hits / 1000.0 * prices.requests.get_per_1k;
+  double issued_usd = gets_during_queries / 1000.0 * prices.requests.get_per_1k;
   std::printf("GET requests averted by the OCM: %llu (= $%.6f saved, "
               "%.0f%% of the query-phase GET bill)\n",
               static_cast<unsigned long long>(stats.hits), averted_usd,

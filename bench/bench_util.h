@@ -313,6 +313,9 @@ inline void MaybeWriteReport(SimEnvironment* env, double sim_seconds) {
   info.s3_gets = meter.s3_gets();
   info.s3_deletes = meter.s3_deletes();
   info.s3_ranged_gets = meter.s3_ranged_gets();
+  info.s3_selects = meter.s3_selects();
+  info.select_scanned_bytes = meter.select_scanned_bytes();
+  info.select_returned_bytes = meter.select_returned_bytes();
   info.request_usd = meter.S3RequestUsd();
   info.ec2_usd = meter.Ec2Usd();
   info.storage_usd_month =

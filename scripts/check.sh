@@ -16,8 +16,9 @@
 #   scripts/check.sh determinism # run tpch_power_run --report twice with
 #                               # the fixed seed and byte-compare the JSON
 #   scripts/check.sh ndp        # bench_ndp smoke: crossover checks pass,
-#                               # double-run --report byte-identical, and
-#                               # a run under ASan
+#                               # double-run --report byte-identical, the
+#                               # meter's SELECT counts equal the
+#                               # ledger's, and a run under ASan
 #   scripts/check.sh profile    # stall-profiler gate: conservation
 #                               # invariant on the report JSON (single-
 #                               # node and multi-tenant), double-run
@@ -50,6 +51,28 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
+
+REPORTS="$(mktemp -d /tmp/cloudiq_reports.XXXXXX)"
+trap 'rm -rf "${REPORTS}"' EXIT
+
+# Determinism contract (EXPERIMENTS.md): runs `cmd_a` and then `cmd_b`
+# (default: `cmd_a` again), each in a fresh process with --report=FILE
+# appended, and byte-compares the two JSON reports. A command is one
+# string and may start with environment assignments. On a mismatch it
+# prints `fail` and the head of the diff and fails. The first run's
+# report stays at ${REPORTS}/<label>.json for the caller's other checks.
+same_reports() {
+  local label="$1" fail="$2" cmd_a="$3" cmd_b="${4:-$3}"
+  local a="${REPORTS}/${label}.json" b="${REPORTS}/${label}.b.json"
+  eval "${cmd_a} --report=${a}" > /dev/null
+  eval "${cmd_b} --report=${b}" > /dev/null
+  if ! cmp -s "${a}" "${b}"; then
+    echo "${fail}" >&2
+    diff "${a}" "${b}" | head -40 >&2 || true
+    return 1
+  fi
+  echo "--- ${label}: reports byte-identical ($(wc -c < "${a}") bytes)"
+}
 
 run_pass() {
   local name="$1" dir="$2" sanitize="$3"
@@ -176,21 +199,8 @@ determinism_pass() {
   cmake -B build -S . > build-configure.log 2>&1 || {
     cat build-configure.log; return 1; }
   cmake --build build -j "${JOBS}" --target tpch_power_run
-  local out1 out2
-  out1="$(mktemp /tmp/cloudiq_det1.XXXXXX.json)"
-  out2="$(mktemp /tmp/cloudiq_det2.XXXXXX.json)"
-  CLOUDIQ_BENCH_SF=0.002 ./build/examples/tpch_power_run \
-    --report="${out1}" > /dev/null
-  CLOUDIQ_BENCH_SF=0.002 ./build/examples/tpch_power_run \
-    --report="${out2}" > /dev/null
-  if ! cmp -s "${out1}" "${out2}"; then
-    echo "determinism FAILED: reports differ" >&2
-    diff "${out1}" "${out2}" | head -40 >&2 || true
-    rm -f "${out1}" "${out2}"
-    return 1
-  fi
-  echo "reports byte-identical ($(wc -c < "${out1}") bytes)"
-  rm -f "${out1}" "${out2}"
+  same_reports determinism "determinism FAILED: reports differ" \
+    "CLOUDIQ_BENCH_SF=0.002 ./build/examples/tpch_power_run"
   echo "=== determinism: OK ==="
 }
 
@@ -198,27 +208,37 @@ determinism_pass() {
 # crossover claims (>= 5x NIC-byte reduction on the Q6-style scan, auto
 # pushes selective scans and pulls the join-heavy one, identical results
 # across modes); on top of that the --report JSON must be byte-identical
-# across double runs, and the whole sweep must be clean under ASan.
+# across double runs, the report's meter must count the same SELECTs and
+# SELECT bytes as its ledger (on a run that pushes, so the count is not
+# zero), and the whole sweep must be clean under ASan.
 ndp_pass() {
   echo "=== ndp: bench_ndp crossover + determinism + ASan ==="
   cmake -B build -S . > build-configure.log 2>&1 || {
     cat build-configure.log; return 1; }
-  cmake --build build -j "${JOBS}" --target bench_ndp
-  local out1 out2
-  out1="$(mktemp /tmp/cloudiq_ndp1.XXXXXX.json)"
-  out2="$(mktemp /tmp/cloudiq_ndp2.XXXXXX.json)"
-  CLOUDIQ_BENCH_SF=0.005 ./build/bench/bench_ndp --report="${out1}" \
-    > /dev/null
-  CLOUDIQ_BENCH_SF=0.005 ./build/bench/bench_ndp --report="${out2}" \
-    > /dev/null
-  if ! cmp -s "${out1}" "${out2}"; then
-    echo "ndp determinism FAILED: reports differ" >&2
-    diff "${out1}" "${out2}" | head -40 >&2 || true
-    rm -f "${out1}" "${out2}"
-    return 1
-  fi
-  echo "--- ndp: reports byte-identical ($(wc -c < "${out1}") bytes)"
-  rm -f "${out1}" "${out2}"
+  cmake --build build -j "${JOBS}" --target bench_ndp bench_concurrency
+  same_reports ndp "ndp determinism FAILED: reports differ" \
+    "CLOUDIQ_BENCH_SF=0.005 ./build/bench/bench_ndp"
+  # bench_ndp reports its last case (auto mode, the join-heavy scan it
+  # keeps local), so a run that pushes checks the SELECT counts too.
+  echo "--- ndp: meter SELECTs == ledger SELECTs > 0"
+  CLOUDIQ_BENCH_SF=0.002 ./build/bench/bench_concurrency --tenants=2 \
+    --arrival=2 --concurrency=2 --ndp=on \
+    --report="${REPORTS}/ndp_on.json" > /dev/null
+  python3 - "${REPORTS}/ndp.json" "${REPORTS}/ndp_on.json" <<'EOF'
+import json, sys
+
+for path in sys.argv[1:]:
+    with open(path) as f:
+        cost = json.load(f)["cost"]
+    meter, ledger = cost["meter"], cost["ledger"]
+    for m, l in [("s3_selects", "selects"),
+                 ("select_scanned_bytes", "select_scanned_bytes"),
+                 ("select_returned_bytes", "select_returned_bytes")]:
+        assert meter[m] == ledger[l], (path, m, meter[m], ledger[l])
+selects = meter["s3_selects"]
+assert selects > 0, f"the --ndp=on run issued no SELECTs: {path}"
+print(f"meter == ledger: {selects} SELECTs")
+EOF
   echo "--- ndp: ASan run"
   cmake -B build-asan -S . -DCLOUDIQ_SANITIZE=address \
     > build-asan-configure.log 2>&1 || {
@@ -244,29 +264,15 @@ profile_pass() {
   cmake -B build -S . > build-configure.log 2>&1 || {
     cat build-configure.log; return 1; }
   cmake --build build -j "${JOBS}" --target tpch_power_run bench_concurrency
-  local out1 out2 conc
-  out1="$(mktemp /tmp/cloudiq_prof1.XXXXXX.json)"
-  out2="$(mktemp /tmp/cloudiq_prof2.XXXXXX.json)"
-  conc="$(mktemp /tmp/cloudiq_prof_conc.XXXXXX.json)"
-  CLOUDIQ_BENCH_SF=0.002 ./build/examples/tpch_power_run \
-    --profile --report="${out1}" > /dev/null
-  CLOUDIQ_BENCH_SF=0.002 ./build/examples/tpch_power_run \
-    --profile --report="${out2}" > /dev/null
+  same_reports profile "profile determinism FAILED: reports differ" \
+    "CLOUDIQ_BENCH_SF=0.002 ./build/examples/tpch_power_run --profile"
   echo "--- profile: conservation (tpch_power_run)"
-  python3 tools/stall_top.py --check "${out1}"
-  if ! cmp -s "${out1}" "${out2}"; then
-    echo "profile determinism FAILED: reports differ" >&2
-    diff "${out1}" "${out2}" | head -40 >&2 || true
-    rm -f "${out1}" "${out2}" "${conc}"
-    return 1
-  fi
-  echo "--- profile: reports byte-identical ($(wc -c < "${out1}") bytes)"
+  python3 tools/stall_top.py --check "${REPORTS}/profile.json"
   echo "--- profile: conservation (bench_concurrency, multi-tenant)"
   CLOUDIQ_BENCH_SF=0.002 ./build/bench/bench_concurrency \
     --tenants=2 --arrival=2 --concurrency=2 --profile \
-    --report="${conc}" > /dev/null
-  python3 tools/stall_top.py --check "${conc}"
-  rm -f "${out1}" "${out2}" "${conc}"
+    --report="${REPORTS}/profile_conc.json" > /dev/null
+  python3 tools/stall_top.py --check "${REPORTS}/profile_conc.json"
   echo "--- profile: ASan run"
   cmake -B build-asan -S . -DCLOUDIQ_SANITIZE=address \
     > build-asan-configure.log 2>&1 || {
@@ -289,21 +295,8 @@ costopt_pass() {
   cmake -B build -S . > build-configure.log 2>&1 || {
     cat build-configure.log; return 1; }
   cmake --build build -j "${JOBS}" --target bench_costopt
-  local out1 out2
-  out1="$(mktemp /tmp/cloudiq_costopt1.XXXXXX.json)"
-  out2="$(mktemp /tmp/cloudiq_costopt2.XXXXXX.json)"
-  CLOUDIQ_BENCH_SF=0.005 ./build/bench/bench_costopt --report="${out1}" \
-    > /dev/null
-  CLOUDIQ_BENCH_SF=0.005 ./build/bench/bench_costopt --report="${out2}" \
-    > /dev/null
-  if ! cmp -s "${out1}" "${out2}"; then
-    echo "costopt determinism FAILED: reports differ" >&2
-    diff "${out1}" "${out2}" | head -40 >&2 || true
-    rm -f "${out1}" "${out2}"
-    return 1
-  fi
-  echo "--- costopt: reports byte-identical ($(wc -c < "${out1}") bytes)"
-  rm -f "${out1}" "${out2}"
+  same_reports costopt "costopt determinism FAILED: reports differ" \
+    "CLOUDIQ_BENCH_SF=0.005 ./build/bench/bench_costopt"
   echo "--- costopt: ASan run"
   cmake -B build-asan -S . -DCLOUDIQ_SANITIZE=address \
     > build-asan-configure.log 2>&1 || {
@@ -338,21 +331,10 @@ locks_pass() {
   CLOUDIQ_LOCK_RANK_CHECK=1 ./build/tests/lock_rank_test
   CLOUDIQ_LOCK_RANK_CHECK=1 ./build/tests/lock_stress_test
   echo "--- locks: tripwire-on double-run byte-compare"
-  local out1 out2
-  out1="$(mktemp /tmp/cloudiq_locks1.XXXXXX.json)"
-  out2="$(mktemp /tmp/cloudiq_locks2.XXXXXX.json)"
-  CLOUDIQ_LOCK_RANK_CHECK=1 CLOUDIQ_BENCH_SF=0.002 \
-    ./build/examples/tpch_power_run --report="${out1}" > /dev/null
-  CLOUDIQ_LOCK_RANK_CHECK=1 CLOUDIQ_BENCH_SF=0.002 \
-    ./build/examples/tpch_power_run --report="${out2}" > /dev/null
-  if ! cmp -s "${out1}" "${out2}"; then
-    echo "locks determinism FAILED: reports differ with tripwire on" >&2
-    diff "${out1}" "${out2}" | head -40 >&2 || true
-    rm -f "${out1}" "${out2}"
-    return 1
-  fi
-  echo "--- locks: reports byte-identical ($(wc -c < "${out1}") bytes)"
-  rm -f "${out1}" "${out2}"
+  same_reports locks \
+    "locks determinism FAILED: reports differ with tripwire on" \
+    "CLOUDIQ_LOCK_RANK_CHECK=1 CLOUDIQ_BENCH_SF=0.002 \
+     ./build/examples/tpch_power_run"
   echo "=== locks: OK ==="
 }
 
@@ -373,36 +355,15 @@ parallel_pass() {
   cmake -B build -S . > build-configure.log 2>&1 || {
     cat build-configure.log; return 1; }
   cmake --build build -j "${JOBS}" --target bench_fig7_scale_up
-  local out1 out2 w1 w8
-  out1="$(mktemp /tmp/cloudiq_par1.XXXXXX.json)"
-  out2="$(mktemp /tmp/cloudiq_par2.XXXXXX.json)"
-  w1="$(mktemp /tmp/cloudiq_parw1.XXXXXX.json)"
-  w8="$(mktemp /tmp/cloudiq_parw8.XXXXXX.json)"
-  CLOUDIQ_BENCH_SF=0.01 ./build/bench/bench_fig7_scale_up --quick \
-    --report="${out1}" > /dev/null
-  CLOUDIQ_BENCH_SF=0.01 ./build/bench/bench_fig7_scale_up --quick \
-    --report="${out2}" > /dev/null
-  if ! cmp -s "${out1}" "${out2}"; then
-    echo "parallel determinism FAILED: double-run reports differ" >&2
-    diff "${out1}" "${out2}" | head -40 >&2 || true
-    rm -f "${out1}" "${out2}" "${w1}" "${w8}"
-    return 1
-  fi
-  echo "--- parallel: double-run reports byte-identical ($(wc -c < "${out1}") bytes)"
-  CLOUDIQ_BENCH_SF=0.01 ./build/bench/bench_fig7_scale_up --quick \
-    --workers=1 --report="${w1}" > /dev/null
-  CLOUDIQ_BENCH_SF=0.01 ./build/bench/bench_fig7_scale_up --quick \
-    --workers=8 --report="${w8}" > /dev/null
-  if ! cmp -s "${w1}" "${w8}"; then
-    echo "parallel determinism FAILED: sim report depends on worker count" >&2
-    diff "${w1}" "${w8}" | head -40 >&2 || true
-    rm -f "${out1}" "${out2}" "${w1}" "${w8}"
-    return 1
-  fi
-  echo "--- parallel: --workers=1 vs --workers=8 reports byte-identical"
+  local fig7="CLOUDIQ_BENCH_SF=0.01 ./build/bench/bench_fig7_scale_up --quick"
+  same_reports parallel \
+    "parallel determinism FAILED: double-run reports differ" "${fig7}"
+  echo "--- parallel: --workers=1 vs --workers=8"
+  same_reports parallel-workers \
+    "parallel determinism FAILED: sim report depends on worker count" \
+    "${fig7} --workers=1" "${fig7} --workers=8"
   echo "--- parallel: stall conservation on the parallel report"
-  python3 tools/stall_top.py --check "${out1}"
-  rm -f "${out1}" "${out2}" "${w1}" "${w8}"
+  python3 tools/stall_top.py --check "${REPORTS}/parallel.json"
   echo "--- parallel: stall_top checker fixture tests"
   python3 tools/stall_top_test.py
   echo "--- parallel: TSan native worker sweep"

@@ -2,7 +2,9 @@
 #define CLOUDIQ_SIM_COST_MODEL_H_
 
 #include <cstdint>
-#include <string>
+
+#include "sim/object_store.h"
+#include "telemetry/attribution.h"
 
 namespace cloudiq {
 
@@ -15,18 +17,11 @@ namespace cloudiq {
 // implies ~$4.22/h for compute + system-dbspace overhead); the smaller
 // instances scale by vCPU count.
 struct CloudPrices {
-  // Object store (S3-like).
-  double s3_put_per_1k = 0.005;        // USD per 1,000 PUT/DELETE requests
-  double s3_get_per_1k = 0.0004;       // USD per 1,000 GET requests
+  // Object-store requests (S3-like): PUT/DELETE, GET/HEAD/ranged GET and
+  // NDP SELECT (S3 Select-like) rates. The cost ledger prices with this
+  // same table, so the meter and the ledger cannot disagree on a rate.
+  LedgerPrices requests;
   double s3_storage_gb_month = 0.023;  // USD per GB-month
-
-  // Near-data processing (S3 Select-like pricing): each SELECT pays the
-  // GET request rate plus per-byte rates for data scanned server-side and
-  // data returned over the wire. Scanning is cheap, returning is cheaper
-  // than a full GET only because far fewer bytes come back.
-  double s3_select_per_1k = 0.0004;        // USD per 1,000 SELECT requests
-  double s3_select_scanned_per_gb = 0.002; // USD per GB scanned server-side
-  double s3_select_returned_per_gb = 0.0007;  // USD per GB returned
 
   // Block volumes.
   double ebs_gp2_gb_month = 0.10;  // USD per GB-month (provisioned)
@@ -39,47 +34,44 @@ struct CloudPrices {
   double ec2_r5_large = 0.126;
 };
 
-// Accumulates the monetary cost of a simulated run, by category.
-// Every device model reports its requests here; the benchmark harness
-// reports EC2 time from the simulated clock.
+// The monetary cost of a simulated run, by category. The meter keeps no
+// request counts of its own: it reads the tally of the object store it is
+// bound to (SimObjectStore::stats(), the one record of every request) and
+// prices it with the ledger's formula (LedgerPrices::RequestUsd). Its only
+// state is the EC2 dollars the harness hands it from the simulated clock.
 class CostMeter {
  public:
-  explicit CostMeter(CloudPrices prices = CloudPrices()) : prices_(prices) {}
+  explicit CostMeter(const SimObjectStore& store,
+                     CloudPrices prices = CloudPrices())
+      : store_(&store), prices_(prices) {}
 
-  void AddS3Put(uint64_t n = 1) { s3_puts_ += n; }
-  void AddS3Get(uint64_t n = 1) { s3_gets_ += n; }
-  // DELETE is billed at the PUT rate, ranged GET parts at the GET rate;
-  // they get their own counters so cost reports can break them out.
-  void AddS3Delete(uint64_t n = 1) { s3_deletes_ += n; }
-  void AddS3RangedGet(uint64_t n = 1) { s3_ranged_gets_ += n; }
-  // One NDP SELECT request that scanned `scanned_bytes` inside the store
-  // and shipped `returned_bytes` back to the compute node.
-  void AddS3Select(uint64_t scanned_bytes, uint64_t returned_bytes) {
-    ++s3_selects_;
-    select_scanned_bytes_ += scanned_bytes;
-    select_returned_bytes_ += returned_bytes;
-  }
   void AddEc2Hours(double hours, double hourly_rate) {
     ec2_usd_ += hours * hourly_rate;
   }
 
-  uint64_t s3_puts() const { return s3_puts_; }
-  uint64_t s3_gets() const { return s3_gets_; }
-  uint64_t s3_deletes() const { return s3_deletes_; }
-  uint64_t s3_ranged_gets() const { return s3_ranged_gets_; }
-  uint64_t s3_selects() const { return s3_selects_; }
-  uint64_t select_scanned_bytes() const { return select_scanned_bytes_; }
-  uint64_t select_returned_bytes() const { return select_returned_bytes_; }
+  // HEAD counts (and is billed) as a GET, DELETE is billed at the PUT
+  // rate and ranged GET parts at the GET rate.
+  uint64_t s3_puts() const { return store_->stats().puts; }
+  uint64_t s3_gets() const { return store_->stats().gets; }
+  uint64_t s3_deletes() const { return store_->stats().deletes; }
+  uint64_t s3_ranged_gets() const { return store_->stats().ranged_gets; }
+  uint64_t s3_selects() const { return store_->stats().selects; }
+  uint64_t select_scanned_bytes() const {
+    return store_->stats().select_scanned_bytes;
+  }
+  uint64_t select_returned_bytes() const {
+    return store_->stats().select_returned_bytes;
+  }
   uint64_t S3Requests() const {
-    return s3_puts_ + s3_gets_ + s3_deletes_ + s3_ranged_gets_ + s3_selects_;
+    SimObjectStore::Stats s = store_->stats();
+    return s.puts + s.gets + s.deletes + s.ranged_gets + s.selects;
   }
 
   double S3RequestUsd() const {
-    return (s3_puts_ + s3_deletes_) / 1000.0 * prices_.s3_put_per_1k +
-           (s3_gets_ + s3_ranged_gets_) / 1000.0 * prices_.s3_get_per_1k +
-           s3_selects_ / 1000.0 * prices_.s3_select_per_1k +
-           select_scanned_bytes_ / 1e9 * prices_.s3_select_scanned_per_gb +
-           select_returned_bytes_ / 1e9 * prices_.s3_select_returned_per_gb;
+    SimObjectStore::Stats s = store_->stats();
+    return prices_.requests.RequestUsd(
+        s.puts + s.deletes, s.gets + s.ranged_gets, s.selects,
+        s.select_scanned_bytes, s.select_returned_bytes);
   }
   double Ec2Usd() const { return ec2_usd_; }
   double TotalComputeUsd() const { return Ec2Usd() + S3RequestUsd(); }
@@ -97,26 +89,9 @@ class CostMeter {
 
   const CloudPrices& prices() const { return prices_; }
 
-  void Reset() {
-    s3_puts_ = 0;
-    s3_gets_ = 0;
-    s3_deletes_ = 0;
-    s3_ranged_gets_ = 0;
-    s3_selects_ = 0;
-    select_scanned_bytes_ = 0;
-    select_returned_bytes_ = 0;
-    ec2_usd_ = 0;
-  }
-
  private:
+  const SimObjectStore* store_;
   CloudPrices prices_;
-  uint64_t s3_puts_ = 0;
-  uint64_t s3_gets_ = 0;
-  uint64_t s3_deletes_ = 0;
-  uint64_t s3_ranged_gets_ = 0;
-  uint64_t s3_selects_ = 0;
-  uint64_t select_scanned_bytes_ = 0;
-  uint64_t select_returned_bytes_ = 0;
   double ec2_usd_ = 0;
 };
 

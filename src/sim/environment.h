@@ -65,7 +65,7 @@ class SimEnvironment {
   explicit SimEnvironment(ObjectStoreOptions store_options = {});
 
   SimObjectStore& object_store() { return object_store_; }
-  CostMeter& cost_meter() { return cost_meter_; }
+  CostMeter& cost_meter() { return meter_; }
   Telemetry& telemetry() { return telemetry_; }
 
   // Creates (or returns the existing) named block volume.
@@ -81,7 +81,7 @@ class SimEnvironment {
  private:
   Telemetry telemetry_;  // before the object store, which points into it
   SimObjectStore object_store_;
-  CostMeter cost_meter_;
+  CostMeter meter_;  // reads object_store_'s request tally
   std::map<std::string, std::unique_ptr<SimBlockVolume>> volumes_;
   std::vector<std::unique_ptr<NodeContext>> nodes_;
 };

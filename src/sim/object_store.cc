@@ -1,6 +1,8 @@
 #include "sim/object_store.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <type_traits>
 
 namespace cloudiq {
 
@@ -31,8 +33,20 @@ std::string SimObjectStore::PrefixOf(const std::string& key) {
   return key.substr(0, slash);
 }
 
-SimTime SimObjectStore::ServiceRequest(const std::string& key, bool is_put,
-                                       uint64_t bytes, SimTime arrival) {
+SimObjectStore::Lookup SimObjectStore::LookupLocked(const std::string& key,
+                                                    SimTime at) const {
+  Lookup lookup;
+  auto it = objects_.find(key);
+  if (it == objects_.end()) return lookup;
+  for (const Version& v : it->second.versions) {
+    lookup.newest = &v;
+    if (v.visible_at <= at) lookup.visible = &v;
+  }
+  return lookup;
+}
+
+SimTime SimObjectStore::PaceLocked(const std::string& key, bool is_put,
+                                   SimTime arrival) {
   // Per-prefix request-rate pacing (the S3 "optimizing performance"
   // limits the paper works around with hashed prefixes).
   std::string prefix = PrefixOf(key);
@@ -45,7 +59,7 @@ SimTime SimObjectStore::ServiceRequest(const std::string& key, bool is_put,
   double stall = throttled ? admitted - arrival : 0;
   if (throttled) {
     ++stats_.throttle_events;
-    if (telemetry_ != nullptr && telemetry_->tracer().enabled()) {
+    if (TracingLocked()) {
       telemetry_->tracer().Instant(kClusterPid, kTrackObjectStore, "s3",
                                    "throttle " + prefix, arrival);
     }
@@ -64,7 +78,12 @@ SimTime SimObjectStore::ServiceRequest(const std::string& key, bool is_put,
     pacers.clear();
     pacers.insert(std::move(hot));
   }
+  return admitted;
+}
 
+SimTime SimObjectStore::ServiceRequest(const std::string& key, bool is_put,
+                                       uint64_t bytes, SimTime arrival) {
+  SimTime admitted = PaceLocked(key, is_put, arrival);
   double base =
       is_put ? options_.put_base_latency : options_.get_base_latency;
   double transfer = static_cast<double>(bytes) / options_.stream_bandwidth;
@@ -81,6 +100,76 @@ SimTime SimObjectStore::ServiceRequest(const std::string& key, bool is_put,
   return completion;
 }
 
+template <typename SpanName>
+void SimObjectStore::BookLocked(Kind kind, uint64_t bytes, uint64_t returned,
+                                SimTime arrival, SimTime completion,
+                                SpanName span_name) {
+  CostLedger::Request request = CostLedger::Request::kGet;
+  Histogram* latency = get_latency_;
+  switch (kind) {
+    case Kind::kPut:
+      ++stats_.puts;
+      stats_.put_bytes += bytes;
+      request = CostLedger::Request::kPut;
+      latency = put_latency_;
+      break;
+    case Kind::kGet:
+      ++stats_.gets;
+      stats_.get_bytes += bytes;
+      break;
+    case Kind::kHead:
+      ++stats_.gets;  // HEAD is billed like GET
+      request = CostLedger::Request::kHead;
+      break;
+    case Kind::kDelete:
+      ++stats_.deletes;
+      request = CostLedger::Request::kDelete;
+      latency = delete_latency_;
+      break;
+    case Kind::kRangedGet:
+      ++stats_.ranged_gets;
+      stats_.get_bytes += bytes;
+      request = CostLedger::Request::kRangedGet;
+      break;
+    case Kind::kSelect:
+      ++stats_.selects;
+      stats_.select_scanned_bytes += bytes;
+      stats_.select_returned_bytes += returned;
+      latency = select_latency_;
+      break;
+  }
+  if (ledger_ != nullptr) {
+    if (kind == Kind::kSelect) {
+      ledger_->RecordSelect(bytes, returned);
+    } else {
+      ledger_->RecordRequest(request, bytes);
+    }
+  }
+  if constexpr (!std::is_same_v<SpanName, std::nullptr_t>) {
+    if (latency != nullptr) latency->Record(completion - arrival);
+    if (TracingLocked()) {
+      telemetry_->tracer().CompleteSpan(kClusterPid, kTrackObjectStore, "s3",
+                                        span_name(), arrival, completion);
+    }
+  }
+}
+
+void SimObjectStore::NoteMissLocked(const Lookup& lookup,
+                                    const std::string& key,
+                                    SimTime arrival) {
+  if (lookup.newest == nullptr || lookup.newest->is_delete) return;
+  ++stats_.not_found_races;
+  if (TracingLocked()) {
+    telemetry_->tracer().Instant(kClusterPid, kTrackObjectStore, "s3",
+                                 "visibility race " + key, arrival);
+  }
+}
+
+bool SimObjectStore::TransientFailureLocked() {
+  return options_.transient_error_rate > 0 &&
+         rng_.Bernoulli(options_.transient_error_rate);
+}
+
 Status SimObjectStore::Put(const std::string& key,
                            std::vector<uint8_t> value, SimTime arrival,
                            SimTime* completion) {
@@ -93,19 +182,9 @@ Status SimObjectStore::Put(const std::string& key,
     return Status::AlreadyExists("never-write-twice violation: " + key);
   }
   *completion = ServiceRequest(key, /*is_put=*/true, value.size(), arrival);
-  ++stats_.puts;
-  stats_.put_bytes += value.size();
-  if (cost_meter_ != nullptr) cost_meter_->AddS3Put();
-  if (ledger_ != nullptr) {
-    ledger_->RecordRequest(CostLedger::Request::kPut, value.size());
-  }
-  if (put_latency_ != nullptr) put_latency_->Record(*completion - arrival);
-  if (telemetry_ != nullptr && telemetry_->tracer().enabled()) {
-    telemetry_->tracer().CompleteSpan(kClusterPid, kTrackObjectStore, "s3",
-                                      "PUT " + key, arrival, *completion);
-  }
-  if (options_.transient_error_rate > 0 &&
-      rng_.Bernoulli(options_.transient_error_rate)) {
+  BookLocked(Kind::kPut, value.size(), 0, arrival, *completion,
+             [&] { return "PUT " + key; });
+  if (TransientFailureLocked()) {
     return Status::IoError("simulated transient PUT failure");
   }
 
@@ -126,103 +205,46 @@ Result<std::vector<uint8_t>> SimObjectStore::Get(const std::string& key,
                                                  SimTime arrival,
                                                  SimTime* completion) {
   MutexLock lock(&mu_);
-  ++stats_.gets;
-  if (cost_meter_ != nullptr) cost_meter_->AddS3Get();
-
-  auto it = objects_.find(key);
-  const Version* newest = nullptr;
-  const Version* newest_visible = nullptr;
-  if (it != objects_.end()) {
-    for (const Version& v : it->second.versions) {
-      newest = &v;
-      if (v.visible_at <= arrival) newest_visible = &v;
-    }
-  }
-
-  if (newest_visible == nullptr || newest_visible->is_delete) {
+  Lookup lookup = LookupLocked(key, arrival);
+  if (!lookup.found()) {
     // Nothing visible: either the key truly does not exist, or we raced
     // eventual consistency (scenario 3).
     *completion =
         ServiceRequest(key, /*is_put=*/false, /*bytes=*/0, arrival);
-    if (ledger_ != nullptr) {
-      ledger_->RecordRequest(CostLedger::Request::kGet, 0);
-    }
-    if (get_latency_ != nullptr) {
-      get_latency_->Record(*completion - arrival);
-    }
-    bool raced = newest != nullptr && !newest->is_delete;
-    if (raced) ++stats_.not_found_races;
-    if (telemetry_ != nullptr && telemetry_->tracer().enabled()) {
-      telemetry_->tracer().CompleteSpan(
-          kClusterPid, kTrackObjectStore, "s3",
-          "GET " + key + " -> NOT_FOUND", arrival, *completion);
-      if (raced) {
-        telemetry_->tracer().Instant(kClusterPid, kTrackObjectStore, "s3",
-                                     "visibility race " + key, arrival);
-      }
-    }
-    if (options_.transient_error_rate > 0 &&
-        rng_.Bernoulli(options_.transient_error_rate)) {
+    BookLocked(Kind::kGet, 0, 0, arrival, *completion,
+               [&] { return "GET " + key + " -> NOT_FOUND"; });
+    NoteMissLocked(lookup, key, arrival);
+    if (TransientFailureLocked()) {
       return Status::IoError("simulated transient GET failure");
     }
     return Status::NotFound(key);
   }
 
-  *completion = ServiceRequest(key, /*is_put=*/false,
-                               newest_visible->value.size(), arrival);
-  stats_.get_bytes += newest_visible->value.size();
-  if (ledger_ != nullptr) {
-    ledger_->RecordRequest(CostLedger::Request::kGet,
-                           newest_visible->value.size());
-  }
-  if (get_latency_ != nullptr) get_latency_->Record(*completion - arrival);
-  if (telemetry_ != nullptr && telemetry_->tracer().enabled()) {
-    telemetry_->tracer().CompleteSpan(kClusterPid, kTrackObjectStore, "s3",
-                                      "GET " + key, arrival, *completion);
-  }
-  if (newest_visible != newest) ++stats_.stale_reads;  // scenario 2
-  if (options_.transient_error_rate > 0 &&
-      rng_.Bernoulli(options_.transient_error_rate)) {
+  const std::vector<uint8_t>& value = lookup.visible->value;
+  *completion = ServiceRequest(key, /*is_put=*/false, value.size(), arrival);
+  BookLocked(Kind::kGet, value.size(), 0, arrival, *completion,
+             [&] { return "GET " + key; });
+  if (lookup.visible != lookup.newest) ++stats_.stale_reads;  // scenario 2
+  if (TransientFailureLocked()) {
     return Status::IoError("simulated transient GET failure");
   }
-  return newest_visible->value;
+  return value;
 }
 
 bool SimObjectStore::Exists(const std::string& key, SimTime arrival,
                             SimTime* completion) {
   MutexLock lock(&mu_);
-  ++stats_.gets;  // HEAD is billed like GET
-  if (cost_meter_ != nullptr) cost_meter_->AddS3Get();
-  if (ledger_ != nullptr) {
-    ledger_->RecordRequest(CostLedger::Request::kHead, 0);
-  }
   *completion = ServiceRequest(key, /*is_put=*/false, /*bytes=*/0, arrival);
-  auto it = objects_.find(key);
-  if (it == objects_.end()) return false;
-  const Version* newest_visible = nullptr;
-  for (const Version& v : it->second.versions) {
-    if (v.visible_at <= arrival) newest_visible = &v;
-  }
-  return newest_visible != nullptr && !newest_visible->is_delete;
+  BookLocked(Kind::kHead, 0, 0, arrival, *completion, nullptr);
+  return LookupLocked(key, arrival).found();
 }
 
 Status SimObjectStore::Delete(const std::string& key, SimTime arrival,
                               SimTime* completion) {
   MutexLock lock(&mu_);
   *completion = ServiceRequest(key, /*is_put=*/true, /*bytes=*/0, arrival);
-  ++stats_.deletes;
-  if (cost_meter_ != nullptr) cost_meter_->AddS3Delete();  // put-rate billing
-  if (ledger_ != nullptr) {
-    ledger_->RecordRequest(CostLedger::Request::kDelete, 0);
-  }
-  if (delete_latency_ != nullptr) {
-    delete_latency_->Record(*completion - arrival);
-  }
-  if (telemetry_ != nullptr && telemetry_->tracer().enabled()) {
-    telemetry_->tracer().CompleteSpan(kClusterPid, kTrackObjectStore, "s3",
-                                      "DELETE " + key, arrival,
-                                      *completion);
-  }
+  BookLocked(Kind::kDelete, 0, 0, arrival, *completion,
+             [&] { return "DELETE " + key; });
   auto it = objects_.find(key);
   if (it == objects_.end()) return Status::Ok();  // idempotent
   SimTime visible_at = *completion;
@@ -235,14 +257,6 @@ Status SimObjectStore::Delete(const std::string& key, SimTime arrival,
 
 // Every SELECT is billed — even one that loses the §3 visibility race
 // or fails server-side (the server still parsed and dispatched it).
-void SimObjectStore::BillSelectLocked(uint64_t scanned, uint64_t returned) {
-  ++stats_.selects;
-  stats_.select_scanned_bytes += scanned;
-  stats_.select_returned_bytes += returned;
-  if (cost_meter_ != nullptr) cost_meter_->AddS3Select(scanned, returned);
-  if (ledger_ != nullptr) ledger_->RecordSelect(scanned, returned);
-}
-
 Result<std::vector<uint8_t>> SimObjectStore::Select(
     const std::vector<uint8_t>& request, SimTime arrival,
     SimTime* completion, uint64_t* bytes_scanned, uint64_t* bytes_returned) {
@@ -258,6 +272,7 @@ Result<std::vector<uint8_t>> SimObjectStore::Select(
   if (keys.value().empty()) {
     return Status::InvalidArgument("NDP request references no pages");
   }
+  const std::string& first_key = keys.value().front();
 
   // Resolve every referenced page to its newest visible version. A
   // single invisible page fails the whole request: the consumer retries
@@ -266,44 +281,24 @@ Result<std::vector<uint8_t>> SimObjectStore::Select(
   pages.reserve(keys.value().size());
   uint64_t scanned = 0;
   for (const std::string& key : keys.value()) {
-    auto it = objects_.find(key);
-    const Version* newest = nullptr;
-    const Version* newest_visible = nullptr;
-    if (it != objects_.end()) {
-      for (const Version& v : it->second.versions) {
-        newest = &v;
-        if (v.visible_at <= arrival) newest_visible = &v;
-      }
-    }
-    if (newest_visible == nullptr || newest_visible->is_delete) {
-      *completion = ServiceRequest(keys.value().front(), /*is_put=*/false,
+    Lookup lookup = LookupLocked(key, arrival);
+    if (!lookup.found()) {
+      *completion = ServiceRequest(first_key, /*is_put=*/false,
                                    /*bytes=*/0, arrival);
-      BillSelectLocked(/*scanned=*/0, /*returned=*/0);
-      bool raced = newest != nullptr && !newest->is_delete;
-      if (raced) ++stats_.not_found_races;
-      if (select_latency_ != nullptr) {
-        select_latency_->Record(*completion - arrival);
-      }
-      if (telemetry_ != nullptr && telemetry_->tracer().enabled()) {
-        telemetry_->tracer().CompleteSpan(
-            kClusterPid, kTrackObjectStore, "s3",
-            "SELECT " + key + " -> NOT_FOUND", arrival, *completion);
-        if (raced) {
-          telemetry_->tracer().Instant(kClusterPid, kTrackObjectStore, "s3",
-                                       "visibility race " + key, arrival);
-        }
-      }
+      BookLocked(Kind::kSelect, 0, 0, arrival, *completion,
+                 [&] { return "SELECT " + key + " -> NOT_FOUND"; });
+      NoteMissLocked(lookup, key, arrival);
       return Status::NotFound(key);
     }
-    scanned += newest_visible->value.size();
-    pages.push_back(&newest_visible->value);
+    scanned += lookup.visible->value.size();
+    pages.push_back(&lookup.visible->value);
   }
 
   Result<std::vector<uint8_t>> result = ndp_engine_->Execute(request, pages);
   if (!result.ok()) {
-    *completion = ServiceRequest(keys.value().front(), /*is_put=*/false,
+    *completion = ServiceRequest(first_key, /*is_put=*/false,
                                  /*bytes=*/0, arrival);
-    BillSelectLocked(/*scanned=*/0, /*returned=*/0);
+    BookLocked(Kind::kSelect, 0, 0, arrival, *completion, nullptr);
     return result.status();
   }
   uint64_t returned = result.value().size();
@@ -311,17 +306,7 @@ Result<std::vector<uint8_t>> SimObjectStore::Select(
   // Latency: per-prefix GET pacing on the first page's prefix, a SELECT
   // time-to-first-byte, the server-side scan at select_scan_bandwidth,
   // then only the result bytes transferred through a connection stream.
-  std::string prefix = PrefixOf(keys.value().front());
-  auto [pit, inserted] =
-      get_pacers_.try_emplace(prefix, options_.per_prefix_get_rate);
-  SimTime admitted = pit->second.Admit(arrival);
-  bool throttled = admitted > arrival + 1e-12;
-  double stall = throttled ? admitted - arrival : 0;
-  if (throttled) ++stats_.throttle_events;
-  if (ledger_ != nullptr) {
-    ledger_->RecordPrefix(prefix, throttled, stall);
-    if (throttled) ledger_->RecordThrottle(stall);
-  }
+  SimTime admitted = PaceLocked(first_key, /*is_put=*/false, arrival);
   double scan_time =
       static_cast<double>(scanned) / options_.select_scan_bandwidth;
   double transfer =
@@ -338,22 +323,14 @@ Result<std::vector<uint8_t>> SimObjectStore::Select(
     profiler_->Charge(WaitClass::kNdpSelect, admitted, *completion);
   }
 
-  BillSelectLocked(scanned, returned);
+  BookLocked(Kind::kSelect, scanned, returned, arrival, *completion, [&] {
+    return "SELECT (" + std::to_string(pages.size()) + " pages, " +
+           std::to_string(scanned) + " -> " + std::to_string(returned) +
+           " B)";
+  });
   if (bytes_scanned != nullptr) *bytes_scanned = scanned;
   if (bytes_returned != nullptr) *bytes_returned = returned;
-  if (select_latency_ != nullptr) {
-    select_latency_->Record(*completion - arrival);
-  }
-  if (telemetry_ != nullptr && telemetry_->tracer().enabled()) {
-    telemetry_->tracer().CompleteSpan(
-        kClusterPid, kTrackObjectStore, "s3",
-        "SELECT (" + std::to_string(pages.size()) + " pages, " +
-            std::to_string(scanned) + " -> " + std::to_string(returned) +
-            " B)",
-        arrival, *completion);
-  }
-  if (options_.transient_error_rate > 0 &&
-      rng_.Bernoulli(options_.transient_error_rate)) {
+  if (TransientFailureLocked()) {
     return Status::IoError("simulated transient SELECT failure");
   }
   return result;
@@ -367,21 +344,12 @@ SimTime SimObjectStore::ExternalRead(uint64_t bytes, SimTime arrival) {
   SimTime done = arrival;
   for (uint64_t i = 0; i < parts; ++i) {
     uint64_t part = std::min(kPartBytes, bytes - i * kPartBytes);
-    ++stats_.ranged_gets;
-    stats_.get_bytes += part;
-    if (cost_meter_ != nullptr) cost_meter_->AddS3RangedGet();
-    if (ledger_ != nullptr) {
-      ledger_->RecordRequest(CostLedger::Request::kRangedGet, part);
-    }
     double transfer = static_cast<double>(part) / options_.stream_bandwidth;
     SimTime part_done = streams_.Submit(arrival, transfer,
                                         options_.get_base_latency);
-    if (get_latency_ != nullptr) get_latency_->Record(part_done - arrival);
-    if (telemetry_ != nullptr && telemetry_->tracer().enabled()) {
-      telemetry_->tracer().CompleteSpan(
-          kClusterPid, kTrackObjectStore, "s3",
-          "ranged GET (" + std::to_string(part) + " B)", arrival, part_done);
-    }
+    BookLocked(Kind::kRangedGet, part, 0, arrival, part_done, [&] {
+      return "ranged GET (" + std::to_string(part) + " B)";
+    });
     done = std::max(done, part_done);
   }
   // The parts stream concurrently; charge the covering window once.

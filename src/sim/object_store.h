@@ -11,7 +11,6 @@
 #include "common/thread_annotations.h"
 #include "common/result.h"
 #include "common/status.h"
-#include "sim/cost_model.h"
 #include "sim/device.h"
 #include "sim/sim_clock.h"
 #include "telemetry/telemetry.h"
@@ -178,23 +177,15 @@ class SimObjectStore {
     uint64_t select_scanned_bytes = 0;   // pages decoded server-side
     uint64_t select_returned_bytes = 0;  // result bytes shipped back
   };
-  // Returned by value: handing out a reference to a guarded field would
-  // let callers read it after the lock drops (Clang's reference-return
-  // check rejects exactly that). The struct is ten integers; the copy is
-  // noise next to a simulated request.
+  // The cluster-wide request tally: the CostMeter prices it, and the cost
+  // ledger holds its per-query split. Returned by value: handing out a
+  // reference to a guarded field would let callers read it after the lock
+  // drops (Clang's reference-return check rejects exactly that). The
+  // struct is thirteen integers; the copy is noise next to a simulated
+  // request.
   Stats stats() const EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     return stats_;
-  }
-  void ResetStats() EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    stats_ = Stats();
-  }
-
-  // Wires a cost meter; when set, every PUT/GET is billed.
-  void set_cost_meter(CostMeter* meter) EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    cost_meter_ = meter;
   }
 
   // Wires telemetry: request latencies land in the "s3.get"/"s3.put"/
@@ -217,13 +208,50 @@ class SimObjectStore {
     std::vector<Version> versions;  // ascending by visible_at
   };
 
+  // The newest version of a key and the newest one visible at some time;
+  // either is nullptr when there is none.
+  struct Lookup {
+    const Version* newest = nullptr;
+    const Version* visible = nullptr;
+
+    bool found() const { return visible != nullptr && !visible->is_delete; }
+  };
+  Lookup LookupLocked(const std::string& key, SimTime at) const
+      REQUIRES(mu_);
+
+  // Per-prefix request-rate pacing; returns the time the request is
+  // admitted.
+  SimTime PaceLocked(const std::string& key, bool is_put, SimTime arrival)
+      REQUIRES(mu_);
+
   // Applies pacing + bandwidth + latency for one request; returns
   // completion time.
   SimTime ServiceRequest(const std::string& key, bool is_put, uint64_t bytes,
                          SimTime arrival) REQUIRES(mu_);
 
-  // Bills one SELECT to stats, meter and ledger.
-  void BillSelectLocked(uint64_t scanned, uint64_t returned) REQUIRES(mu_);
+  enum class Kind { kPut, kGet, kHead, kDelete, kRangedGet, kSelect };
+
+  // Books one request into every sink it feeds: the tally in stats_, the
+  // cost ledger and, unless `span_name` is nullptr, the kind's latency
+  // histogram and a trace span named span_name(). `bytes` is the payload
+  // moved; for a SELECT it is the bytes scanned and `returned` the bytes
+  // shipped back. Every request is billed, even one that fails.
+  template <typename SpanName>
+  void BookLocked(Kind kind, uint64_t bytes, uint64_t returned,
+                  SimTime arrival, SimTime completion, SpanName span_name)
+      REQUIRES(mu_);
+
+  // A read of `key` found nothing visible. When a live version exists
+  // that is not yet visible, counts and traces the §3 visibility race.
+  void NoteMissLocked(const Lookup& lookup, const std::string& key,
+                      SimTime arrival) REQUIRES(mu_);
+
+  // Rolls the injected transient-error probability for one request.
+  bool TransientFailureLocked() REQUIRES(mu_);
+
+  bool TracingLocked() const REQUIRES(mu_) {
+    return telemetry_ != nullptr && telemetry_->tracer().enabled();
+  }
 
   static std::string PrefixOf(const std::string& key);
 
@@ -240,7 +268,6 @@ class SimObjectStore {
   std::unordered_map<std::string, RatePacer> get_pacers_ GUARDED_BY(mu_);
   std::unordered_map<std::string, Object> objects_ GUARDED_BY(mu_);
   Stats stats_ GUARDED_BY(mu_);
-  CostMeter* cost_meter_ GUARDED_BY(mu_) = nullptr;
   Telemetry* telemetry_ GUARDED_BY(mu_) = nullptr;
   CostLedger* ledger_ GUARDED_BY(mu_) = nullptr;
   StallProfiler* profiler_ GUARDED_BY(mu_) = nullptr;

@@ -64,6 +64,10 @@ Result<std::vector<uint8_t>> RleDecompress(const std::vector<uint8_t>& in,
       uint32_t len;
       std::memcpy(&len, in.data() + i, 4);
       i += 4;
+      // A corrupt length must fail here, not expand to gigabytes.
+      if (out.size() + len > expected_size) {
+        return Status::Corruption("RLE run overrun");
+      }
       out.insert(out.end(), len, value);
     } else if (marker == 0x01) {
       if (i + 4 > in.size()) return Status::Corruption("truncated literal");

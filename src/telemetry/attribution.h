@@ -27,25 +27,41 @@ struct AttributionContext {
   std::string tag;           // human label ("load", "Q7", ...)
 };
 
-// Request price points the ledger uses to turn attributed requests into
-// USD. Mirrors the request rates of CloudPrices (sim/cost_model.h)
-// without depending on it — telemetry sits below sim in the layering, so
-// SimEnvironment copies its meter's rates in at construction.
+// The object-store request rates: the one price table for requests.
+// CloudPrices (sim/cost_model.h) holds it as a member rather than mirror
+// it (telemetry sits below sim in the layering), SimEnvironment hands the
+// meter's copy to the ledger, and both price through RequestUsd() below.
 struct LedgerPrices {
   double put_per_1k = 0.005;   // PUT and DELETE requests
   double get_per_1k = 0.0004;  // GET (plain, ranged parts, HEAD)
-  // NDP SELECT: per-request rate plus per-byte scanned/returned rates
-  // (mirrors CloudPrices::s3_select_*).
+  // NDP SELECT (S3 Select-like): each request pays a per-request rate plus
+  // per-byte rates for data scanned server-side and data returned over
+  // the wire.
   double select_per_1k = 0.0004;
   double select_scanned_per_gb = 0.002;
   double select_returned_per_gb = 0.0007;
+
+  // USD of `put_requests` PUT-rate requests (PUT, DELETE), `get_requests`
+  // GET-rate requests (GET, ranged part, HEAD) and `selects` SELECTs that
+  // scanned `scanned_bytes` and returned `returned_bytes`.
+  double RequestUsd(uint64_t put_requests, uint64_t get_requests,
+                    uint64_t selects, uint64_t scanned_bytes,
+                    uint64_t returned_bytes) const {
+    return put_requests / 1000.0 * put_per_1k +
+           get_requests / 1000.0 * get_per_1k +
+           selects / 1000.0 * select_per_1k +
+           scanned_bytes / 1e9 * select_scanned_per_gb +
+           returned_bytes / 1e9 * select_returned_per_gb;
+  }
 };
 
 // Per-query cost and causality ledger. Aggregates every attributed event
 // by (query, operator, node) and every object-store request by key
-// prefix, and prices the result through LedgerPrices — the per-query
-// counterpart of the global CostMeter (the two see the same event stream,
-// so their totals must agree; tests assert it).
+// prefix, and prices the result through LedgerPrices. It is the
+// per-(query, operator, node) split of the cluster-wide request tally,
+// which SimObjectStore::stats() keeps and the CostMeter prices: the store
+// records each request into both from one call site, so the ledger's
+// grand total equals the meter field by field (tests assert it).
 //
 // The "current" context is one slot, swapped by ScopedAttribution; the
 // fiber handoff serializes the swappers. mu_ guards the slot, the
@@ -54,7 +70,7 @@ struct LedgerPrices {
 // every other manager's critical sections.
 class CostLedger {
  public:
-  enum class Request { kGet, kPut, kDelete, kRangedGet, kHead, kSelect };
+  enum class Request { kGet, kPut, kDelete, kRangedGet, kHead };
 
   struct Key {
     uint64_t query_id = 0;
@@ -120,11 +136,9 @@ class CostLedger {
       return gets + puts + deletes + ranged_gets + heads + selects;
     }
     double RequestUsd(const LedgerPrices& prices) const {
-      return (puts + deletes) / 1000.0 * prices.put_per_1k +
-             (gets + ranged_gets + heads) / 1000.0 * prices.get_per_1k +
-             selects / 1000.0 * prices.select_per_1k +
-             select_scanned_bytes / 1e9 * prices.select_scanned_per_gb +
-             select_returned_bytes / 1e9 * prices.select_returned_per_gb;
+      return prices.RequestUsd(puts + deletes, gets + ranged_gets + heads,
+                               selects, select_scanned_bytes,
+                               select_returned_bytes);
     }
     double TotalUsd(const LedgerPrices& prices) const {
       return RequestUsd(prices) + ec2_usd;

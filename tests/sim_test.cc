@@ -223,16 +223,25 @@ TEST(ObjectStoreTest, CostMeterBillsRequests) {
   (void)env.object_store().Exists("a/b", done + 10, &done);
   ASSERT_TRUE(env.object_store().Delete("a/b", done + 10, &done).ok());
   EXPECT_EQ(env.cost_meter().s3_deletes(), 1u);
-  EXPECT_EQ(env.cost_meter().S3Requests(), 4u);
   EXPECT_GT(env.cost_meter().S3RequestUsd(), before_usd);
 
+  // External input is billed as ranged GET parts (20 MB = three 8 MB
+  // parts).
+  env.object_store().ExternalRead(20 << 20, done + 10);
+  EXPECT_EQ(env.cost_meter().s3_ranged_gets(), 3u);
+  EXPECT_EQ(env.cost_meter().S3Requests(), 7u);
+
   // Every metered request was also attributed (to the default context
-  // here), so the cluster ledger agrees with the meter request-for-
-  // request and dollar-for-dollar.
+  // here), so the cluster ledger agrees with the meter kind by kind and
+  // to the last bit of the dollar figure.
+  const CostMeter& meter = env.cost_meter();
   CostLedger::Entry grand = env.telemetry().ledger().GrandTotal();
-  EXPECT_EQ(grand.Requests(), env.cost_meter().S3Requests());
-  EXPECT_NEAR(grand.RequestUsd(env.telemetry().ledger().prices()),
-              env.cost_meter().S3RequestUsd(), 1e-12);
+  EXPECT_EQ(grand.puts, meter.s3_puts());
+  EXPECT_EQ(grand.deletes, meter.s3_deletes());
+  EXPECT_EQ(grand.ranged_gets, meter.s3_ranged_gets());
+  EXPECT_EQ(grand.gets + grand.heads, meter.s3_gets());  // HEAD bills as GET
+  EXPECT_EQ(grand.RequestUsd(env.telemetry().ledger().prices()),
+            meter.S3RequestUsd());
 }
 
 TEST(BlockVolumeTest, StrongConsistencyReadAfterWrite) {
@@ -402,7 +411,8 @@ TEST(NodeContextTest, IoWidthCapped) {
 }
 
 TEST(CostMeterTest, MonthlyStorageRelativeCosts) {
-  CostMeter meter;
+  SimObjectStore store;
+  CostMeter meter(store);
   // The paper's Table 4 ordering: S3 ~4x cheaper than EBS, ~13x than EFS.
   double gb = 518;
   EXPECT_NEAR(meter.EbsMonthlyUsd(gb), 51.80, 0.01);

@@ -465,7 +465,7 @@ TEST(CostLedgerTest, RequestPricingMatchesRates) {
 
 TEST(CostLedgerTest, SelectPricingAndFold) {
   CostLedger ledger;
-  LedgerPrices prices;  // defaults mirror CloudPrices::s3_select_*
+  LedgerPrices prices;  // the default request rates
   {
     ScopedAttribution q(&ledger, Attr(4, -1, 1, "ndp"));
     for (int i = 0; i < 1000; ++i) {
