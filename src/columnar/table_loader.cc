@@ -17,19 +17,6 @@ uint64_t ValueBytes(const ColumnVector& col, size_t i) {
   }
 }
 
-void AppendValue(ColumnVector* dst, const ColumnVector& src, size_t i) {
-  switch (src.type) {
-    case ColumnType::kDouble:
-      dst->doubles.push_back(src.doubles[i]);
-      break;
-    case ColumnType::kString:
-      dst->strings.push_back(src.strings[i]);
-      break;
-    default:
-      dst->ints.push_back(src.ints[i]);
-  }
-}
-
 }  // namespace
 
 TableLoader::TableLoader(TransactionManager* txn_mgr, Transaction* txn,
@@ -87,7 +74,7 @@ Status TableLoader::Append(const std::vector<ColumnVector>& batch) {
     // Each column's staged footprint is tracked independently; a column
     // cuts a page as soon as *its* bytes near the page size.
     for (size_t c = 0; c < batch.size(); ++c) {
-      AppendValue(&part.staging[c], batch[c], i);
+      part.staging[c].Append(batch[c], i);
       uint64_t bytes = ValueBytes(batch[c], i);
       cpu_seconds_ += options_.encode_cpu_per_byte * bytes;
       part.staged_col_bytes[c] += bytes;

@@ -51,6 +51,32 @@ struct ColumnVector {
         ints.reserve(n);
     }
   }
+  void resize(size_t n) {
+    switch (type) {
+      case ColumnType::kDouble:
+        doubles.resize(n);
+        break;
+      case ColumnType::kString:
+        strings.resize(n);
+        break;
+      default:
+        ints.resize(n);
+    }
+  }
+  // Appends `src`'s value at `row`; `src` must have this vector's type
+  // family. The one value-copy step between typed vectors.
+  void Append(const ColumnVector& src, size_t row) {
+    switch (type) {
+      case ColumnType::kDouble:
+        doubles.push_back(src.doubles[row]);
+        break;
+      case ColumnType::kString:
+        strings.push_back(src.strings[row]);
+        break;
+      default:
+        ints.push_back(src.ints[row]);
+    }
+  }
 };
 
 // Days since epoch for a calendar date (proleptic Gregorian).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -72,6 +73,23 @@ OperatorScope::~OperatorScope() {
   // Recorded while our attribution scope is still installed, so the time
   // lands on this operator's ledger entry.
   ctx_->ledger().AddSimSeconds(elapsed);
+}
+
+ScopedParallelSection::ScopedParallelSection(QueryContext* ctx,
+                                             size_t morsels)
+    : ctx_(ctx) {
+  StatsRegistry& stats = ctx_->node()->telemetry().stats();
+  stats.counter("exec.parallel_sections").Add(1);
+  stats.counter("exec.morsels").Add(morsels);
+  ctx_->BeginParallelSection();
+  ctx_->node()->telemetry().profiler().BeginParallel(
+      ctx_->node()->clock().now());
+}
+
+void ScopedParallelSection::Run(size_t count,
+                                const std::function<void(size_t)>& fn) {
+  TaskPool::Global().RunIndexed(ctx_->options().exec_mode,
+                                ctx_->options().exec_workers, count, fn);
 }
 
 namespace {
@@ -145,17 +163,7 @@ Status ReadRowSet(QueryContext* ctx, TableReader* reader, size_t partition,
         uint64_t begin = std::max(iv.begin, page_first);
         uint64_t end = std::min(iv.end, page_end);
         for (uint64_t r = begin; r < end; ++r) {
-          size_t off = static_cast<size_t>(r - page_first);
-          switch (decoded.type) {
-            case ColumnType::kDouble:
-              dst.doubles.push_back(decoded.doubles[off]);
-              break;
-            case ColumnType::kString:
-              dst.strings.push_back(decoded.strings[off]);
-              break;
-            default:
-              dst.ints.push_back(decoded.ints[off]);
-          }
+          dst.Append(decoded, static_cast<size_t>(r - page_first));
           ++values;
         }
       }
@@ -255,34 +263,11 @@ Batch MaterializeScanMorsel(const Batch& shape,
       for (size_t c = 0; c < cols.size(); ++c) {
         size_t off;
         const ColumnVector& vals = cursors[c].At(r, &off);
-        ColumnVector& dst = frag.columns[c];
-        switch (dst.type) {
-          case ColumnType::kDouble:
-            dst.doubles.push_back(vals.doubles[off]);
-            break;
-          case ColumnType::kString:
-            dst.strings.push_back(vals.strings[off]);
-            break;
-          default:
-            dst.ints.push_back(vals.ints[off]);
-        }
+        frag.columns[c].Append(vals, off);
       }
     }
   }
   return frag;
-}
-
-void ResizeColumn(ColumnVector* col, size_t rows) {
-  switch (col->type) {
-    case ColumnType::kDouble:
-      col->doubles.resize(rows);
-      break;
-    case ColumnType::kString:
-      col->strings.resize(rows);
-      break;
-    default:
-      col->ints.resize(rows);
-  }
 }
 
 // Writes `src`'s values into `dst` starting at row `at`. The caller
@@ -307,22 +292,19 @@ void PlaceColumn(ColumnVector* dst, ColumnVector* src, size_t at) {
 // Phase D of every parallel operator: prefix-sums fragment sizes,
 // resizes `out` to the total, and places each fragment into its disjoint
 // slot range (in parallel in native mode).
-void PlaceFragments(ExecMode mode, int workers, std::vector<Batch>* frags,
-                    Batch* out) {
+void PlaceFragments(ScopedParallelSection* section,
+                    std::vector<Batch>* frags, Batch* out) {
   std::vector<size_t> offsets(frags->size() + 1, 0);
   for (size_t i = 0; i < frags->size(); ++i) {
     offsets[i + 1] = offsets[i] + (*frags)[i].rows();
   }
-  for (ColumnVector& col : out->columns) {
-    ResizeColumn(&col, offsets.back());
-  }
-  TaskPool::Global().RunIndexed(
-      mode, workers, frags->size(), [&](size_t i) {
-        Batch& frag = (*frags)[i];
-        for (size_t c = 0; c < out->columns.size(); ++c) {
-          PlaceColumn(&out->columns[c], &frag.columns[c], offsets[i]);
-        }
-      });
+  for (ColumnVector& col : out->columns) col.resize(offsets.back());
+  section->Run(frags->size(), [&](size_t i) {
+    Batch& frag = (*frags)[i];
+    for (size_t c = 0; c < out->columns.size(); ++c) {
+      PlaceColumn(&out->columns[c], &frag.columns[c], offsets[i]);
+    }
+  });
 }
 
 // --- near-data processing --------------------------------------------------
@@ -721,13 +703,7 @@ Result<Batch> ScanTable(QueryContext* ctx, TableReader* reader,
   ctx->ChargeDecodedBytes(reader->decoded_bytes() - decoded_before);
 
   if (!morsels.empty()) {
-    TaskPool& pool = TaskPool::Global();
-    const ExecMode mode = ctx->options().exec_mode;
-    const int workers = ctx->options().exec_workers;
-    stats.counter("exec.parallel_sections").Add(1);
-    stats.counter("exec.morsels").Add(morsels.size());
-
-    ScopedParallelSection section(ctx);
+    ScopedParallelSection section(ctx, morsels.size());
     // Phase B (workers, host CPU): decode each fetched frame once.
     std::vector<DecodedPage*> decode_tasks;
     for (std::vector<ColumnSlice>& slices : parts) {
@@ -736,7 +712,7 @@ Result<Batch> ScanTable(QueryContext* ctx, TableReader* reader,
       }
     }
     std::vector<Status> decode_status(decode_tasks.size(), Status::Ok());
-    pool.RunIndexed(mode, workers, decode_tasks.size(), [&](size_t t) {
+    section.Run(decode_tasks.size(), [&](size_t t) {
       DecodedPage* dp = decode_tasks[t];
       Result<ColumnVector> decoded = DecodeColumnPage(*dp->frame);
       if (!decoded.ok()) {
@@ -751,12 +727,12 @@ Result<Batch> ScanTable(QueryContext* ctx, TableReader* reader,
     }
     // Phase C (workers): per-morsel materialize + exact range filter.
     std::vector<Batch> frags(morsels.size());
-    pool.RunIndexed(mode, workers, morsels.size(), [&](size_t m) {
+    section.Run(morsels.size(), [&](size_t m) {
       frags[m] = MaterializeScanMorsel(out, parts[morsel_slice[m]],
                                        morsels[m], range, range_pos);
     });
     // Phase D (workers): place fragments into disjoint slots of `out`.
-    PlaceFragments(mode, workers, &frags, &out);
+    PlaceFragments(&section, &frags, &out);
     // The coordinator's fixed charge loop: each candidate row costs one
     // touch per read column plus (with a predicate) the exact filter
     // touch — the same totals the serial executor charged, attributed
@@ -806,6 +782,100 @@ Batch FilterBatch(QueryContext* ctx, const Batch& in,
   return out;
 }
 
+namespace {
+
+// The key column's values as the join key type: int64_t for the int
+// family, std::string for strings.
+template <typename Key>
+const std::vector<Key>& KeyValues(const ColumnVector& col) {
+  if constexpr (std::is_same_v<Key, std::string>) {
+    return col.strings;
+  } else {
+    return col.ints;
+  }
+}
+
+// HashJoin's build and probe for one key type; `out` arrives with the
+// output shape. The join table (key -> ascending right row ids) is built
+// here only, so a different table layout replaces this one function.
+template <typename Key>
+void JoinOnKey(QueryContext* ctx, const Batch& left, int lk,
+               const Batch& right, int rk, JoinType type,
+               const std::vector<int>& right_cols, Batch* out) {
+  using Table = std::unordered_map<Key, std::vector<size_t>>;
+  const std::vector<Key>& left_keys = KeyValues<Key>(left.columns[lk]);
+  const std::vector<Key>& right_keys = KeyValues<Key>(right.columns[rk]);
+
+  // Build side: the right batch, chunked into thread-local hash tables
+  // merged in chunk order — chunk c's rows all precede chunk c+1's, and
+  // each local chunk appends its ascending row ids, so every key's row
+  // list comes out exactly as a serial build produces it.
+  Table build;
+  std::vector<RowChunk> build_chunks =
+      MakeRowChunks(right.rows(), ctx->options().morsel_rows);
+  if (!build_chunks.empty()) {
+    std::vector<Table> locals(build_chunks.size());
+    ScopedParallelSection section(ctx, build_chunks.size());
+    section.Run(build_chunks.size(), [&](size_t i) {
+      for (size_t r = build_chunks[i].begin; r < build_chunks[i].end;
+           ++r) {
+        locals[i][right_keys[r]].push_back(r);
+      }
+    });
+    for (size_t i = 0; i < build_chunks.size(); ++i) {
+      for (auto& [key, rows_list] : locals[i]) {
+        std::vector<size_t>& dst = build[key];
+        dst.insert(dst.end(), rows_list.begin(), rows_list.end());
+      }
+      ctx->ChargeMorselValues(build_chunks[i].end -
+                              build_chunks[i].begin);
+    }
+    section.Finish();
+  }
+
+  // Probe side: left chunks emit into private fragments (same per-row
+  // semantics as the serial probe), placed into `out` in chunk order.
+  std::vector<RowChunk> probe_chunks =
+      MakeRowChunks(left.rows(), ctx->options().morsel_rows);
+  if (probe_chunks.empty()) return;
+  std::vector<Batch> frags(probe_chunks.size());
+  ScopedParallelSection section(ctx, probe_chunks.size());
+  section.Run(probe_chunks.size(), [&](size_t i) {
+    Batch frag = out->EmptyLike();
+    for (size_t r = probe_chunks[i].begin; r < probe_chunks[i].end; ++r) {
+      auto it = build.find(left_keys[r]);
+      bool matched = it != build.end();
+      switch (type) {
+        case JoinType::kLeftSemi:
+          if (matched) left.AppendRowTo(&frag, r);
+          break;
+        case JoinType::kLeftAnti:
+          if (!matched) left.AppendRowTo(&frag, r);
+          break;
+        case JoinType::kInner:
+          if (!matched) break;
+          for (size_t m : it->second) {
+            left.AppendRowTo(&frag, r);
+            for (size_t rc = 0; rc < right_cols.size(); ++rc) {
+              frag.columns[left.columns.size() + rc].Append(
+                  right.columns[right_cols[rc]], m);
+            }
+          }
+          break;
+      }
+    }
+    frags[i] = std::move(frag);
+  });
+  PlaceFragments(&section, &frags, out);
+  for (const RowChunk& chunk : probe_chunks) {
+    ctx->ChargeMorselValues((chunk.end - chunk.begin) *
+                            (1 + out->columns.size()));
+  }
+  section.Finish();
+}
+
+}  // namespace
+
 Result<Batch> HashJoin(QueryContext* ctx, const Batch& left,
                        const std::string& left_key, const Batch& right,
                        const std::string& right_key, JoinType type) {
@@ -816,59 +886,11 @@ Result<Batch> HashJoin(QueryContext* ctx, const Batch& left,
   int lk = left.Col(left_key);
   int rk = right.Col(right_key);
   if (lk < 0 || rk < 0) return Status::InvalidArgument("bad join key");
-  if (left.columns[lk].type == ColumnType::kDouble ||
-      right.columns[rk].type == ColumnType::kDouble) {
-    return Status::InvalidArgument("join keys must be int or string");
-  }
-  bool string_key = left.columns[lk].type == ColumnType::kString;
-
-  TaskPool& pool = TaskPool::Global();
-  const ExecMode mode = ctx->options().exec_mode;
-  const int workers = ctx->options().exec_workers;
-  auto& stats = ctx->node()->telemetry().stats();
-
-  // Build side: the right batch, chunked into thread-local hash tables
-  // merged in chunk order — chunk c's rows all precede chunk c+1's, and
-  // each local chunk appends its ascending row ids, so every key's row
-  // list comes out exactly as a serial build produces it.
-  std::unordered_map<int64_t, std::vector<size_t>> int_build;
-  std::unordered_map<std::string, std::vector<size_t>> str_build;
-  std::vector<RowChunk> build_chunks =
-      MakeRowChunks(right.rows(), ctx->options().morsel_rows);
-  if (!build_chunks.empty()) {
-    stats.counter("exec.parallel_sections").Add(1);
-    stats.counter("exec.morsels").Add(build_chunks.size());
-    std::vector<std::unordered_map<int64_t, std::vector<size_t>>>
-        int_locals(string_key ? 0 : build_chunks.size());
-    std::vector<std::unordered_map<std::string, std::vector<size_t>>>
-        str_locals(string_key ? build_chunks.size() : 0);
-    ScopedParallelSection section(ctx);
-    pool.RunIndexed(mode, workers, build_chunks.size(), [&](size_t i) {
-      for (size_t r = build_chunks[i].begin; r < build_chunks[i].end;
-           ++r) {
-        if (string_key) {
-          str_locals[i][right.columns[rk].strings[r]].push_back(r);
-        } else {
-          int_locals[i][right.columns[rk].ints[r]].push_back(r);
-        }
-      }
-    });
-    for (size_t i = 0; i < build_chunks.size(); ++i) {
-      if (string_key) {
-        for (auto& [key, rows_list] : str_locals[i]) {
-          std::vector<size_t>& dst = str_build[key];
-          dst.insert(dst.end(), rows_list.begin(), rows_list.end());
-        }
-      } else {
-        for (auto& [key, rows_list] : int_locals[i]) {
-          std::vector<size_t>& dst = int_build[key];
-          dst.insert(dst.end(), rows_list.begin(), rows_list.end());
-        }
-      }
-      ctx->ChargeMorselValues(build_chunks[i].end -
-                              build_chunks[i].begin);
-    }
-    section.Finish();
+  const ColumnType lt = left.columns[lk].type;
+  const ColumnType rt = right.columns[rk].type;
+  if (lt == ColumnType::kDouble || rt == ColumnType::kDouble ||
+      (lt == ColumnType::kString) != (rt == ColumnType::kString)) {
+    return Status::InvalidArgument("join keys must both be int or string");
   }
 
   // Output shape.
@@ -885,82 +907,10 @@ Result<Batch> HashJoin(QueryContext* ctx, const Batch& left,
     }
   }
 
-  // Probe side: left chunks emit into private fragments (same per-row
-  // semantics as the serial probe), placed into `out` in chunk order.
-  auto append_left_row = [&](size_t r, Batch* frag) {
-    for (size_t c = 0; c < left.columns.size(); ++c) {
-      const ColumnVector& src = left.columns[c];
-      ColumnVector& dst = frag->columns[c];
-      switch (src.type) {
-        case ColumnType::kDouble:
-          dst.doubles.push_back(src.doubles[r]);
-          break;
-        case ColumnType::kString:
-          dst.strings.push_back(src.strings[r]);
-          break;
-        default:
-          dst.ints.push_back(src.ints[r]);
-      }
-    }
-  };
-  std::vector<RowChunk> probe_chunks =
-      MakeRowChunks(left.rows(), ctx->options().morsel_rows);
-  if (!probe_chunks.empty()) {
-    stats.counter("exec.parallel_sections").Add(1);
-    stats.counter("exec.morsels").Add(probe_chunks.size());
-    std::vector<Batch> frags(probe_chunks.size());
-    ScopedParallelSection section(ctx);
-    pool.RunIndexed(mode, workers, probe_chunks.size(), [&](size_t i) {
-      Batch frag = out.EmptyLike();
-      for (size_t r = probe_chunks[i].begin; r < probe_chunks[i].end;
-           ++r) {
-        const std::vector<size_t>* matches = nullptr;
-        if (string_key) {
-          auto it = str_build.find(left.columns[lk].strings[r]);
-          if (it != str_build.end()) matches = &it->second;
-        } else {
-          auto it = int_build.find(left.columns[lk].ints[r]);
-          if (it != int_build.end()) matches = &it->second;
-        }
-        switch (type) {
-          case JoinType::kLeftSemi:
-            if (matches != nullptr) append_left_row(r, &frag);
-            break;
-          case JoinType::kLeftAnti:
-            if (matches == nullptr) append_left_row(r, &frag);
-            break;
-          case JoinType::kInner:
-            if (matches != nullptr) {
-              for (size_t m : *matches) {
-                append_left_row(r, &frag);
-                for (size_t rc = 0; rc < right_cols.size(); ++rc) {
-                  const ColumnVector& src = right.columns[right_cols[rc]];
-                  ColumnVector& dst =
-                      frag.columns[left.columns.size() + rc];
-                  switch (src.type) {
-                    case ColumnType::kDouble:
-                      dst.doubles.push_back(src.doubles[m]);
-                      break;
-                    case ColumnType::kString:
-                      dst.strings.push_back(src.strings[m]);
-                      break;
-                    default:
-                      dst.ints.push_back(src.ints[m]);
-                  }
-                }
-              }
-            }
-            break;
-        }
-      }
-      frags[i] = std::move(frag);
-    });
-    PlaceFragments(mode, workers, &frags, &out);
-    for (const RowChunk& chunk : probe_chunks) {
-      ctx->ChargeMorselValues((chunk.end - chunk.begin) *
-                              (1 + out.columns.size()));
-    }
-    section.Finish();
+  if (lt == ColumnType::kString) {
+    JoinOnKey<std::string>(ctx, left, lk, right, rk, type, right_cols, &out);
+  } else {
+    JoinOnKey<int64_t>(ctx, left, lk, right, rk, type, right_cols, &out);
   }
   op.AddRows(out.rows());
   return out;
@@ -1123,15 +1073,9 @@ Result<Batch> HashAggregate(QueryContext* ctx, const Batch& in,
   std::vector<RowChunk> chunks =
       MakeRowChunks(in.rows(), ctx->options().morsel_rows);
   if (!chunks.empty()) {
-    TaskPool& pool = TaskPool::Global();
-    const ExecMode mode = ctx->options().exec_mode;
-    const int workers = ctx->options().exec_workers;
-    auto& stats = ctx->node()->telemetry().stats();
-    stats.counter("exec.parallel_sections").Add(1);
-    stats.counter("exec.morsels").Add(chunks.size());
     std::vector<LocalGroups> locals(chunks.size());
-    ScopedParallelSection section(ctx);
-    pool.RunIndexed(mode, workers, chunks.size(), [&](size_t i) {
+    ScopedParallelSection section(ctx, chunks.size());
+    section.Run(chunks.size(), [&](size_t i) {
       LocalGroups& lg = locals[i];
       for (size_t r = chunks[i].begin; r < chunks[i].end; ++r) {
         std::string composite = CompositeKey(in, key_cols, r);
@@ -1195,18 +1139,7 @@ Result<Batch> HashAggregate(QueryContext* ctx, const Batch& in,
   for (size_t g = 0; g < states.size(); ++g) {
     size_t rep = group_of_first_row[g];
     for (size_t k = 0; k < key_cols.size(); ++k) {
-      const ColumnVector& src = in.columns[key_cols[k]];
-      ColumnVector& dst = out.columns[k];
-      switch (src.type) {
-        case ColumnType::kDouble:
-          dst.doubles.push_back(src.doubles[rep]);
-          break;
-        case ColumnType::kString:
-          dst.strings.push_back(src.strings[rep]);
-          break;
-        default:
-          dst.ints.push_back(src.ints[rep]);
-      }
+      out.columns[k].Append(in.columns[key_cols[k]], rep);
     }
     for (size_t a = 0; a < aggs.size(); ++a) {
       const AggState& s = states[g][a];

@@ -220,12 +220,14 @@ class OperatorScope {
   ScopedStall stall_;
 };
 
-// One parallel region of an operator (a morsel batch): opens a stall-
+// One parallel region of an operator (a morsel batch): counts itself and
+// its `morsels` in exec.parallel_sections / exec.morsels, opens a stall-
 // profiler parallel section so the coordinator's per-morsel kCpuExec
 // charges land as lanes of this section (disjoint windows telescoping to
 // the section's elapsed time, so EndParallel registers them unscaled and
 // conservation stays exact), and defers fiber step checks so the section
-// suspends/resumes as one unit.
+// suspends/resumes as one unit. Run() is the executor's one dispatch
+// onto the task pool.
 //
 // Call Finish() at the end of the happy path: it closes the section and
 // fires the one deferred scheduler step. The destructor only closes the
@@ -234,14 +236,15 @@ class OperatorScope {
 // destructor.
 class ScopedParallelSection {
  public:
-  explicit ScopedParallelSection(QueryContext* ctx) : ctx_(ctx) {
-    ctx_->BeginParallelSection();
-    ctx_->node()->telemetry().profiler().BeginParallel(
-        ctx_->node()->clock().now());
-  }
+  ScopedParallelSection(QueryContext* ctx, size_t morsels);
   ~ScopedParallelSection() { Close(); }
   ScopedParallelSection(const ScopedParallelSection&) = delete;
   ScopedParallelSection& operator=(const ScopedParallelSection&) = delete;
+
+  // Runs fn(0) .. fn(count - 1) with the context's exec mode and workers
+  // (TaskPool::RunIndexed: pure host CPU, each index writing only its own
+  // output slot).
+  void Run(size_t count, const std::function<void(size_t)>& fn);
 
   void Finish() {
     Close();

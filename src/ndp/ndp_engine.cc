@@ -104,19 +104,6 @@ bool EvalExpr(const NdpExpr& e, std::vector<DecodedColumn>& cols,
   return false;
 }
 
-void AppendValue(const ColumnVector& src, size_t offset, ColumnVector* dst) {
-  switch (src.type) {
-    case ColumnType::kDouble:
-      dst->doubles.push_back(src.doubles[offset]);
-      break;
-    case ColumnType::kString:
-      dst->strings.push_back(src.strings[offset]);
-      break;
-    default:
-      dst->ints.push_back(src.ints[offset]);
-  }
-}
-
 // Running state for one aggregate.
 struct AggState {
   bool seen = false;
@@ -214,8 +201,8 @@ Result<NdpResult> NdpEngine::Evaluate(
       if (!result.is_aggregate) {
         for (size_t i = 0; i < projected.size(); ++i) {
           size_t c = projected[i];
-          AppendValue(cols[c].pages[where[c].first], where[c].second,
-                      &result.columns[i]);
+          result.columns[i].Append(cols[c].pages[where[c].first],
+                                   where[c].second);
         }
         continue;
       }
@@ -286,16 +273,9 @@ Result<NdpResult> NdpEngine::Evaluate(
           out.type = col_type;
           // No matching rows: an empty (zero-row) result column.
           if (st.seen) {
-            AppendValue(
-                [&] {
-                  ColumnVector v;
-                  v.type = col_type;
-                  v.ints.push_back(st.int_acc);
-                  v.doubles.push_back(st.double_acc);
-                  v.strings.push_back(st.string_acc);
-                  return v;
-                }(),
-                0, &out);
+            ColumnVector acc{col_type, {st.int_acc}, {st.double_acc},
+                             {st.string_acc}};
+            out.Append(acc, 0);
           }
           break;
       }

@@ -82,20 +82,21 @@ SimTime SimObjectStore::PaceLocked(const std::string& key, bool is_put,
 }
 
 SimTime SimObjectStore::ServiceRequest(const std::string& key, bool is_put,
-                                       uint64_t bytes, SimTime arrival) {
+                                       double base, uint64_t bytes,
+                                       SimTime arrival, double extra,
+                                       WaitClass window) {
   SimTime admitted = PaceLocked(key, is_put, arrival);
-  double base =
-      is_put ? options_.put_base_latency : options_.get_base_latency;
   double transfer = static_cast<double>(bytes) / options_.stream_bandwidth;
   // Mild deterministic-seeded jitter so request times are not lockstep.
   double jitter = rng_.Exponential(base * 0.15);
-  SimTime completion = streams_.Submit(admitted, transfer, base + jitter);
+  SimTime completion =
+      streams_.Submit(admitted, transfer, base + extra + jitter);
   // Tile the request's window into the stall ledger: pacer stall first,
-  // the rest (queueing behind other streams + base + transfer) is the
-  // network transfer.
+  // the rest (queueing behind other streams + latency + transfer) is
+  // `window`.
   if (profiler_ != nullptr) {
     profiler_->Charge(WaitClass::kThrottleBackoff, arrival, admitted);
-    profiler_->Charge(WaitClass::kNetworkTransfer, admitted, completion);
+    profiler_->Charge(window, admitted, completion);
   }
   return completion;
 }
@@ -181,7 +182,9 @@ Status SimObjectStore::Put(const std::string& key,
     // the §3 eventual-consistency scenarios the keygen design rules out).
     return Status::AlreadyExists("never-write-twice violation: " + key);
   }
-  *completion = ServiceRequest(key, /*is_put=*/true, value.size(), arrival);
+  *completion = ServiceRequest(key, /*is_put=*/true,
+                               options_.put_base_latency, value.size(),
+                               arrival);
   BookLocked(Kind::kPut, value.size(), 0, arrival, *completion,
              [&] { return "PUT " + key; });
   if (TransientFailureLocked()) {
@@ -210,7 +213,8 @@ Result<std::vector<uint8_t>> SimObjectStore::Get(const std::string& key,
     // Nothing visible: either the key truly does not exist, or we raced
     // eventual consistency (scenario 3).
     *completion =
-        ServiceRequest(key, /*is_put=*/false, /*bytes=*/0, arrival);
+        ServiceRequest(key, /*is_put=*/false, options_.get_base_latency,
+                       /*bytes=*/0, arrival);
     BookLocked(Kind::kGet, 0, 0, arrival, *completion,
                [&] { return "GET " + key + " -> NOT_FOUND"; });
     NoteMissLocked(lookup, key, arrival);
@@ -221,7 +225,9 @@ Result<std::vector<uint8_t>> SimObjectStore::Get(const std::string& key,
   }
 
   const std::vector<uint8_t>& value = lookup.visible->value;
-  *completion = ServiceRequest(key, /*is_put=*/false, value.size(), arrival);
+  *completion = ServiceRequest(key, /*is_put=*/false,
+                               options_.get_base_latency, value.size(),
+                               arrival);
   BookLocked(Kind::kGet, value.size(), 0, arrival, *completion,
              [&] { return "GET " + key; });
   if (lookup.visible != lookup.newest) ++stats_.stale_reads;  // scenario 2
@@ -234,7 +240,9 @@ Result<std::vector<uint8_t>> SimObjectStore::Get(const std::string& key,
 bool SimObjectStore::Exists(const std::string& key, SimTime arrival,
                             SimTime* completion) {
   MutexLock lock(&mu_);
-  *completion = ServiceRequest(key, /*is_put=*/false, /*bytes=*/0, arrival);
+  *completion = ServiceRequest(key, /*is_put=*/false,
+                               options_.get_base_latency, /*bytes=*/0,
+                               arrival);
   BookLocked(Kind::kHead, 0, 0, arrival, *completion, nullptr);
   return LookupLocked(key, arrival).found();
 }
@@ -242,7 +250,9 @@ bool SimObjectStore::Exists(const std::string& key, SimTime arrival,
 Status SimObjectStore::Delete(const std::string& key, SimTime arrival,
                               SimTime* completion) {
   MutexLock lock(&mu_);
-  *completion = ServiceRequest(key, /*is_put=*/true, /*bytes=*/0, arrival);
+  *completion = ServiceRequest(key, /*is_put=*/true,
+                               options_.put_base_latency, /*bytes=*/0,
+                               arrival);
   BookLocked(Kind::kDelete, 0, 0, arrival, *completion,
              [&] { return "DELETE " + key; });
   auto it = objects_.find(key);
@@ -284,7 +294,8 @@ Result<std::vector<uint8_t>> SimObjectStore::Select(
     Lookup lookup = LookupLocked(key, arrival);
     if (!lookup.found()) {
       *completion = ServiceRequest(first_key, /*is_put=*/false,
-                                   /*bytes=*/0, arrival);
+                                   options_.get_base_latency, /*bytes=*/0,
+                                   arrival);
       BookLocked(Kind::kSelect, 0, 0, arrival, *completion,
                  [&] { return "SELECT " + key + " -> NOT_FOUND"; });
       NoteMissLocked(lookup, key, arrival);
@@ -297,7 +308,8 @@ Result<std::vector<uint8_t>> SimObjectStore::Select(
   Result<std::vector<uint8_t>> result = ndp_engine_->Execute(request, pages);
   if (!result.ok()) {
     *completion = ServiceRequest(first_key, /*is_put=*/false,
-                                 /*bytes=*/0, arrival);
+                                 options_.get_base_latency, /*bytes=*/0,
+                                 arrival);
     BookLocked(Kind::kSelect, 0, 0, arrival, *completion, nullptr);
     return result.status();
   }
@@ -306,22 +318,14 @@ Result<std::vector<uint8_t>> SimObjectStore::Select(
   // Latency: per-prefix GET pacing on the first page's prefix, a SELECT
   // time-to-first-byte, the server-side scan at select_scan_bandwidth,
   // then only the result bytes transferred through a connection stream.
-  SimTime admitted = PaceLocked(first_key, /*is_put=*/false, arrival);
+  // The post-pacer window (server-side scan plus the much smaller result
+  // transfer) is the price of choosing pushdown, so it books as
+  // kNdpSelect rather than splitting hairs between scan and result bytes.
   double scan_time =
       static_cast<double>(scanned) / options_.select_scan_bandwidth;
-  double transfer =
-      static_cast<double>(returned) / options_.stream_bandwidth;
-  double jitter = rng_.Exponential(options_.select_base_latency * 0.15);
-  *completion = streams_.Submit(
-      admitted, transfer, options_.select_base_latency + scan_time + jitter);
-  // A pushed-down SELECT's post-pacer window is server-side scan plus the
-  // (much smaller) result transfer; the whole of it is the price of
-  // choosing pushdown, so it books as kNdpSelect rather than splitting
-  // hairs between scan and result bytes.
-  if (profiler_ != nullptr) {
-    profiler_->Charge(WaitClass::kThrottleBackoff, arrival, admitted);
-    profiler_->Charge(WaitClass::kNdpSelect, admitted, *completion);
-  }
+  *completion = ServiceRequest(first_key, /*is_put=*/false,
+                               options_.select_base_latency, returned,
+                               arrival, scan_time, WaitClass::kNdpSelect);
 
   BookLocked(Kind::kSelect, scanned, returned, arrival, *completion, [&] {
     return "SELECT (" + std::to_string(pages.size()) + " pages, " +

@@ -224,10 +224,14 @@ class SimObjectStore {
   SimTime PaceLocked(const std::string& key, bool is_put, SimTime arrival)
       REQUIRES(mu_);
 
-  // Applies pacing + bandwidth + latency for one request; returns
-  // completion time.
-  SimTime ServiceRequest(const std::string& key, bool is_put, uint64_t bytes,
-                         SimTime arrival) REQUIRES(mu_);
+  // Applies pacing + bandwidth + latency for one request and tiles its
+  // window into the stall profile (pacer stall as kThrottleBackoff, the
+  // rest as `window`); returns completion time. `base` is the request's
+  // time-to-first-byte, `extra` any server-side seconds on top of it.
+  SimTime ServiceRequest(const std::string& key, bool is_put, double base,
+                         uint64_t bytes, SimTime arrival, double extra = 0,
+                         WaitClass window = WaitClass::kNetworkTransfer)
+      REQUIRES(mu_);
 
   enum class Kind { kPut, kGet, kHead, kDelete, kRangedGet, kSelect };
 

@@ -145,11 +145,6 @@ std::string CostLedger::QueryTenantLocked(uint64_t query_id) const {
   return it == query_tenants_.end() ? std::string() : it->second;
 }
 
-std::string CostLedger::QueryTenant(uint64_t query_id) const {
-  MutexLock lock(&mu_);
-  return QueryTenantLocked(query_id);
-}
-
 CostLedger::Entry CostLedger::TenantTotal(const std::string& tenant) const {
   MutexLock lock(&mu_);
   Entry total;

@@ -189,8 +189,6 @@ class CostLedger {
   // TenantTotal("") plus the mapped tenants always sums to GrandTotal().
   void SetQueryTenant(uint64_t query_id, const std::string& tenant)
       EXCLUDES(mu_);
-  // "" when the query was never mapped.
-  std::string QueryTenant(uint64_t query_id) const EXCLUDES(mu_);
   // Sum of every entry of `tenant`'s queries across operators and nodes
   // ("" sums the unmapped remainder, including unattributed work).
   Entry TenantTotal(const std::string& tenant) const EXCLUDES(mu_);
@@ -255,6 +253,11 @@ class CostLedger {
   std::map<std::string, PrefixStats> prefixes() const EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     return prefixes_;
+  }
+  // Every mapped query id -> tenant (unmapped queries are absent).
+  std::map<uint64_t, std::string> query_tenants() const EXCLUDES(mu_) {
+    MutexLock lock(&mu_);
+    return query_tenants_;
   }
   // Sum of every entry of `query_id` across operators and nodes.
   Entry QueryTotal(uint64_t query_id) const EXCLUDES(mu_);

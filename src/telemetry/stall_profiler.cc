@@ -245,10 +245,14 @@ StallProfiler::Entry StallProfiler::GrandTotal() const {
 
 StallProfiler::Entry StallProfiler::TenantTotal(
     const std::string& tenant) const {
+  // One ledger lock per call, taken before (not inside) our own.
+  std::map<uint64_t, std::string> tenants = ledger_->query_tenants();
   Entry total;
-  std::map<Key, Entry> snapshot = entries();
-  for (const auto& [key, entry] : snapshot) {
-    if (ledger_->QueryTenant(key.query_id) == tenant) total.Fold(entry);
+  MutexLock lock(&mu_);
+  for (const auto& [key, entry] : entries_) {
+    auto it = tenants.find(key.query_id);
+    bool mine = it == tenants.end() ? tenant.empty() : it->second == tenant;
+    if (mine) total.Fold(entry);
   }
   return total;
 }

@@ -31,6 +31,37 @@ TEST(ValueTest, DecimalScaling) {
   EXPECT_EQ(DecimalFromDouble(12.34), 1234);
   EXPECT_DOUBLE_EQ(DecimalToDouble(1234), 12.34);
   EXPECT_EQ(DecimalFromDouble(-1.005), -100);  // rounds toward nearest
+
+  // ColumnVector::Append and resize work on the type's own vector; DATE
+  // and DECIMAL values are ints like kInt64.
+  for (ColumnType type : {ColumnType::kInt64, ColumnType::kDouble,
+                          ColumnType::kString, ColumnType::kDate,
+                          ColumnType::kDecimal}) {
+    SCOPED_TRACE(ColumnTypeName(type));
+    bool is_double = type == ColumnType::kDouble;
+    bool is_string = type == ColumnType::kString;
+    ColumnVector src{type, {1234, -5}, {0.25, 7.5}, {"a", "bc"}};
+    ColumnVector dst{type, {}, {}, {}};
+    dst.Append(src, 1);
+    dst.Append(src, 0);
+    ASSERT_EQ(dst.size(), 2u);
+    EXPECT_EQ(dst.ints, is_double || is_string
+                            ? std::vector<int64_t>{}
+                            : std::vector<int64_t>({-5, 1234}));
+    EXPECT_EQ(dst.doubles, is_double ? std::vector<double>({7.5, 0.25})
+                                     : std::vector<double>{});
+    EXPECT_EQ(dst.strings, is_string
+                               ? std::vector<std::string>({"bc", "a"})
+                               : std::vector<std::string>{});
+    dst.resize(5);
+    EXPECT_EQ(dst.size(), 5u);
+    EXPECT_EQ(dst.ints.size() + dst.doubles.size() + dst.strings.size(),
+              5u);
+    dst.resize(1);
+    EXPECT_EQ(dst.size(), 1u);
+    dst.Append(dst, 0);
+    EXPECT_EQ(dst.size(), 2u);
+  }
 }
 
 // Property sweep: n-bit packing round-trips at every width.

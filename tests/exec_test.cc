@@ -608,6 +608,67 @@ TEST_F(ParallelExecTest, StringKeyJoinMatchesSerial) {
   ExpectBatchesIdentical(*serial, *parallel);
 }
 
+// The fixture has no DOUBLE or DATE column: join them in from the right
+// side and group by the double, so every value-copy path of the join
+// probe and the aggregate's key output runs on those types.
+TEST_F(ParallelExecTest, DoubleAndDateColumnsJoinAndGroup) {
+  Result<TableReader> sales = ctx_->OpenTable(10);
+  ASSERT_TRUE(sales.ok());
+  Result<Batch> s = ScanTable(ctx_.get(), &*sales, {"id", "region_id"});
+  ASSERT_TRUE(s.ok());
+  Batch right;
+  right.AddColumn("region_id", {ColumnType::kInt64, {}, {}, {}});
+  right.AddColumn("weight", {ColumnType::kDouble, {}, {}, {}});
+  right.AddColumn("opened", {ColumnType::kDate, {}, {}, {}});
+  right.columns[0].ints = {0, 1, 2, 2};
+  right.columns[1].doubles = {0.5, 1.25, 2.75, 0.5};
+  right.columns[2].ints = {DaysFromCivil(1995, 1, 1),
+                           DaysFromCivil(1996, 2, 29),
+                           DaysFromCivil(1997, 12, 31),
+                           DaysFromCivil(1998, 8, 2)};
+  Result<Batch> serial = HashJoin(ctx_.get(), *s, "region_id", right,
+                                  "region_id", JoinType::kInner);
+  Result<Batch> parallel = HashJoin(par_ctx_.get(), *s, "region_id", right,
+                                    "region_id", JoinType::kInner);
+  ASSERT_TRUE(serial.ok() && parallel.ok());
+  ExpectBatchesIdentical(*serial, *parallel);
+  // An int key never joins a string key.
+  Batch string_keys;
+  string_keys.AddColumn("region_id", {ColumnType::kString, {}, {}, {"0"}});
+  EXPECT_FALSE(HashJoin(ctx_.get(), *s, "region_id", string_keys,
+                        "region_id", JoinType::kInner)
+                   .ok());
+  // Regions 0 and 1 match once, region 2 twice, region 3 not at all.
+  ASSERT_EQ(parallel->rows(), 1000u);
+  EXPECT_EQ(parallel->column("weight").type, ColumnType::kDouble);
+  EXPECT_EQ(parallel->column("opened").type, ColumnType::kDate);
+  for (size_t r = 0; r < parallel->rows(); ++r) {
+    int64_t region = parallel->Int("region_id", r);
+    if (region == 1) {
+      EXPECT_EQ(parallel->Double("weight", r), 1.25);
+      EXPECT_EQ(parallel->Int("opened", r), DaysFromCivil(1996, 2, 29));
+    }
+  }
+
+  std::vector<AggSpec> aggs = {{AggOp::kCount, "", "n"},
+                               {AggOp::kMax, "opened", "last_opened"}};
+  Result<Batch> gserial =
+      HashAggregate(ctx_.get(), *serial, {"weight"}, aggs);
+  Result<Batch> gparallel =
+      HashAggregate(par_ctx_.get(), *parallel, {"weight"}, aggs);
+  ASSERT_TRUE(gserial.ok() && gparallel.ok());
+  ExpectBatchesIdentical(*gserial, *gparallel);
+  // Weight 0.5 is shared by region 0 and region 2's second row.
+  EXPECT_EQ(gparallel->column("weight").doubles,
+            std::vector<double>({0.5, 1.25, 2.75}));
+  EXPECT_EQ(gparallel->column("n").ints,
+            std::vector<int64_t>({500, 250, 250}));
+  EXPECT_EQ(gparallel->column("last_opened").ints,
+            std::vector<int64_t>({DaysFromCivil(1998, 8, 2),
+                                  DaysFromCivil(1996, 2, 29),
+                                  DaysFromCivil(1997, 12, 31)}));
+}
+
 TEST_F(ParallelExecTest, HashAggregateMatchesSerial) {
   Result<TableReader> sales = ctx_->OpenTable(10);
   ASSERT_TRUE(sales.ok());
