@@ -30,7 +30,7 @@ void BM_NBitPack(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * values.size());
 }
-BENCHMARK(BM_NBitPack)->Arg(4)->Arg(13)->Arg(32);
+BENCHMARK(BM_NBitPack)->Arg(1)->Arg(4)->Arg(13)->Arg(32)->Arg(64);
 
 void BM_NBitUnpack(benchmark::State& state) {
   int width = static_cast<int>(state.range(0));
@@ -40,12 +40,15 @@ void BM_NBitUnpack(benchmark::State& state) {
       width == 64 ? ~uint64_t{0} : ((uint64_t{1} << width) - 1);
   for (auto& v : values) v = rng.Next() & mask;
   std::vector<uint8_t> packed = NBitPack(values, width);
+  std::vector<uint64_t> out(values.size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(NBitUnpack(packed, width, values.size()));
+    NBitUnpack(packed.data(), packed.size(), width, out.size(), out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * values.size());
 }
-BENCHMARK(BM_NBitUnpack)->Arg(4)->Arg(13)->Arg(32);
+BENCHMARK(BM_NBitUnpack)->Arg(1)->Arg(4)->Arg(13)->Arg(32)->Arg(64);
 
 void BM_EncodeIntColumnPage(benchmark::State& state) {
   ColumnVector col;

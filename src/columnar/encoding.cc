@@ -1,8 +1,11 @@
 #include "columnar/encoding.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <cstring>
 #include <map>
+#include <utility>
 
 #include "common/coding.h"
 
@@ -18,6 +21,75 @@ constexpr uint8_t kEncodingRawString = 4;
 // frame-of-reference.
 constexpr uint8_t kEncodingDeltaNBit = 5;
 
+constexpr uint64_t LowBits(int width) {
+  return width == 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
+}
+
+// Pages are little-endian on disk, like every format in common/coding.h.
+inline uint64_t LoadWord(const uint8_t* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+// The `W`-bit value whose lowest bit is bit `kBit` of `p`. The word load
+// at byte kBit / 8 covers it unless its bits run past that word, which
+// only widths above 56 can do.
+template <int W, int kBit>
+inline uint64_t ExtractValue(const uint8_t* p) {
+  constexpr int kShift = kBit % 8;
+  const uint8_t* q = p + kBit / 8;
+  uint64_t v = LoadWord(q) >> kShift;
+  if constexpr (kShift + W > 64) v |= LoadWord(q + 8) << (64 - kShift);
+  return v & LowBits(W);
+}
+
+// Eight values fill exactly W bytes, so every value's byte offset and
+// shift within a group is a compile-time constant.
+template <int W, int... J>
+inline void UnpackGroup(const uint8_t* p, uint64_t* out,
+                        std::integer_sequence<int, J...>) {
+  ((out[J] = ExtractValue<W, J * W>(p)), ...);
+}
+
+template <int W>
+void UnpackWidth(const uint8_t* in, size_t size, size_t count,
+                 uint64_t* out) {
+  // A group's loads reach at most W + 16 bytes past its first byte.
+  constexpr size_t kReach = W + 16;
+  size_t groups =
+      size >= kReach ? std::min(count / 8, (size - kReach) / W + 1) : 0;
+  for (size_t g = 0; g < groups; ++g) {
+    UnpackGroup<W>(in + g * W, out + g * 8,
+                   std::make_integer_sequence<int, 8>());
+  }
+  // Byte-safe tail: copy what is left of the buffer into a zeroed window
+  // so that bits past `size` read as zero.
+  for (size_t i = groups * 8; i < count; ++i) {
+    size_t byte = i * W / 8;
+    uint8_t window[16] = {};
+    if (byte < size) {
+      std::memcpy(window, in + byte, std::min<size_t>(16, size - byte));
+    }
+    int shift = static_cast<int>(i * W % 8);
+    uint64_t v = LoadWord(window) >> shift;
+    if (shift + W > 64) v |= LoadWord(window + 8) << (64 - shift);
+    out[i] = v & LowBits(W);
+  }
+}
+
+using UnpackFn = void (*)(const uint8_t*, size_t, size_t, uint64_t*);
+
+template <int... W>
+constexpr std::array<UnpackFn, sizeof...(W)> UnpackTable(
+    std::integer_sequence<int, W...>) {
+  return {&UnpackWidth<W + 1>...};
+}
+
+// kUnpackByWidth[w - 1] unpacks w-bit values.
+constexpr std::array<UnpackFn, 64> kUnpackByWidth =
+    UnpackTable(std::make_integer_sequence<int, 64>());
+
 }  // namespace
 
 int BitWidthFor(uint64_t max_value) {
@@ -29,33 +101,30 @@ int BitWidthFor(uint64_t max_value) {
 std::vector<uint8_t> NBitPack(const std::vector<uint64_t>& values,
                               int bit_width) {
   assert(bit_width >= 1 && bit_width <= 64);
-  std::vector<uint8_t> out((values.size() * bit_width + 7) / 8, 0);
-  size_t bit_pos = 0;
+  const uint64_t mask = LowBits(bit_width);
+  std::vector<uint8_t> out((values.size() * bit_width + 7) / 8);
+  uint8_t* dst = out.data();
+  uint64_t acc = 0;  // the low `filled` bits are packed, not yet written
+  int filled = 0;
   for (uint64_t v : values) {
-    for (int b = 0; b < bit_width; ++b, ++bit_pos) {
-      if ((v >> b) & 1) {
-        out[bit_pos / 8] |= static_cast<uint8_t>(1u << (bit_pos % 8));
-      }
+    v &= mask;
+    acc |= v << filled;
+    filled += bit_width;
+    if (filled >= 64) {
+      std::memcpy(dst, &acc, sizeof(acc));
+      dst += sizeof(acc);
+      filled -= 64;
+      acc = filled == 0 ? 0 : v >> (bit_width - filled);
     }
   }
+  if (filled > 0) std::memcpy(dst, &acc, (filled + 7) / 8);
   return out;
 }
 
-std::vector<uint64_t> NBitUnpack(const std::vector<uint8_t>& bytes,
-                                 int bit_width, size_t count) {
-  std::vector<uint64_t> out(count, 0);
-  size_t bit_pos = 0;
-  for (size_t i = 0; i < count; ++i) {
-    uint64_t v = 0;
-    for (int b = 0; b < bit_width; ++b, ++bit_pos) {
-      if (bit_pos / 8 < bytes.size() &&
-          (bytes[bit_pos / 8] >> (bit_pos % 8)) & 1) {
-        v |= uint64_t{1} << b;
-      }
-    }
-    out[i] = v;
-  }
-  return out;
+void NBitUnpack(const uint8_t* bytes, size_t size, int bit_width,
+                size_t count, uint64_t* out) {
+  assert(bit_width >= 1 && bit_width <= 64);
+  kUnpackByWidth[bit_width - 1](bytes, size, count, out);
 }
 
 std::vector<uint8_t> EncodeColumnPage(const ColumnVector& values,
@@ -180,57 +249,102 @@ std::vector<uint8_t> EncodeColumnPage(const ColumnVector& values,
   return out;
 }
 
+namespace {
+
+bool IsIntType(ColumnType type) {
+  return type == ColumnType::kInt64 || type == ColumnType::kDate ||
+         type == ColumnType::kDecimal;
+}
+
+// Reads an n-bit width byte; widths outside [1, 64] are corrupt.
+Result<int> ReadWidth(ByteReader& reader) {
+  int width = reader.GetU8();
+  if (reader.overflow()) return Status::Corruption("column page truncated");
+  if (width < 1 || width > 64) {
+    return Status::Corruption("n-bit width out of range");
+  }
+  return width;
+}
+
+}  // namespace
+
 Result<ColumnVector> DecodeColumnPage(const std::vector<uint8_t>& bytes) {
   ByteReader reader(bytes);
   ColumnVector out;
-  out.type = static_cast<ColumnType>(reader.GetU32());
+  uint32_t type = reader.GetU32();
   uint32_t count = reader.GetU32();
-  if (reader.remaining() < 1) return Status::Corruption("column page");
-  uint8_t encoding = reader.GetBytes(1)[0];
+  uint8_t encoding = reader.GetU8();
+  if (reader.overflow()) return Status::Corruption("column page truncated");
+  if (type > static_cast<uint32_t>(ColumnType::kDecimal)) {
+    return Status::Corruption("unknown column type");
+  }
+  out.type = static_cast<ColumnType>(type);
 
   switch (encoding) {
-    case kEncodingNBit: {
-      int width = reader.GetBytes(1)[0];
-      int64_t base = reader.GetI64();
-      std::vector<uint8_t> packed =
-          reader.GetBytes((static_cast<size_t>(count) * width + 7) / 8);
-      std::vector<uint64_t> deltas = NBitUnpack(packed, width, count);
-      out.ints.reserve(count);
-      for (uint64_t d : deltas) {
-        out.ints.push_back(base + static_cast<int64_t>(d));
-      }
-      break;
-    }
+    case kEncodingNBit:
     case kEncodingDeltaNBit: {
-      int width = reader.GetBytes(1)[0];
-      int64_t value = reader.GetI64();
-      size_t n_deltas = count > 0 ? count - 1 : 0;
-      std::vector<uint8_t> packed =
-          reader.GetBytes((n_deltas * width + 7) / 8);
-      std::vector<uint64_t> deltas = NBitUnpack(packed, width, n_deltas);
-      out.ints.reserve(count);
-      if (count > 0) out.ints.push_back(value);
-      for (uint64_t d : deltas) {
-        value += static_cast<int64_t>(d);
-        out.ints.push_back(value);
+      if (!IsIntType(out.type)) {
+        return Status::Corruption("n-bit page of a non-integer column");
+      }
+      CLOUDIQ_ASSIGN_OR_RETURN(int width, ReadWidth(reader));
+      int64_t first = reader.GetI64();
+      // Frame of reference packs every value; delta packs all but the
+      // first, which is stored raw.
+      bool delta = encoding == kEncodingDeltaNBit;
+      size_t n_packed = delta && count > 0 ? count - 1 : count;
+      // Checked against the page before `out` is sized by `count`.
+      size_t packed_size = (n_packed * width + 7) / 8;
+      const uint8_t* packed = reader.GetPointer(packed_size);
+      if (reader.overflow()) {
+        return Status::Corruption("column page truncated");
+      }
+      out.ints.resize(count);
+      // int64_t and uint64_t may alias; all arithmetic below wraps.
+      uint64_t* v = reinterpret_cast<uint64_t*>(out.ints.data());
+      uint64_t base = static_cast<uint64_t>(first);
+      if (delta) {
+        if (count == 0) break;
+        v[0] = base;
+        NBitUnpack(packed, packed_size, width, n_packed, v + 1);
+        for (size_t i = 1; i < count; ++i) v[i] += v[i - 1];
+      } else {
+        NBitUnpack(packed, packed_size, width, n_packed, v);
+        for (size_t i = 0; i < count; ++i) v[i] += base;
       }
       break;
     }
     case kEncodingRawDouble: {
-      out.doubles.reserve(count);
-      for (uint32_t i = 0; i < count; ++i) {
-        out.doubles.push_back(reader.GetDouble());
+      if (out.type != ColumnType::kDouble) {
+        return Status::Corruption("double page of a non-double column");
       }
+      size_t raw_size = size_t{count} * sizeof(double);
+      const uint8_t* raw = reader.GetPointer(raw_size);
+      if (reader.overflow()) {
+        return Status::Corruption("column page truncated");
+      }
+      out.doubles.resize(count);
+      if (count > 0) std::memcpy(out.doubles.data(), raw, raw_size);
       break;
     }
     case kEncodingDictString: {
-      int width = reader.GetBytes(1)[0];
+      if (out.type != ColumnType::kString) {
+        return Status::Corruption("string page of a non-string column");
+      }
+      CLOUDIQ_ASSIGN_OR_RETURN(int width, ReadWidth(reader));
       uint32_t dict_size = reader.GetU32();
+      // Every entry takes at least its 4-byte length.
+      if (dict_size > reader.remaining() / 4) {
+        return Status::Corruption("dictionary larger than its page");
+      }
       std::vector<std::string> dict(dict_size);
       for (uint32_t i = 0; i < dict_size; ++i) dict[i] = reader.GetString();
-      std::vector<uint8_t> packed =
-          reader.GetBytes((static_cast<size_t>(count) * width + 7) / 8);
-      std::vector<uint64_t> codes = NBitUnpack(packed, width, count);
+      size_t packed_size = (size_t{count} * width + 7) / 8;
+      const uint8_t* packed = reader.GetPointer(packed_size);
+      if (reader.overflow()) {
+        return Status::Corruption("column page truncated");
+      }
+      std::vector<uint64_t> codes(count);
+      NBitUnpack(packed, packed_size, width, count, codes.data());
       out.strings.reserve(count);
       for (uint64_t code : codes) {
         if (code >= dict.size()) {
@@ -241,6 +355,13 @@ Result<ColumnVector> DecodeColumnPage(const std::vector<uint8_t>& bytes) {
       break;
     }
     case kEncodingRawString: {
+      if (out.type != ColumnType::kString) {
+        return Status::Corruption("string page of a non-string column");
+      }
+      // Every string takes at least its 4-byte length.
+      if (count > reader.remaining() / 4) {
+        return Status::Corruption("column page truncated");
+      }
       out.strings.reserve(count);
       for (uint32_t i = 0; i < count; ++i) {
         out.strings.push_back(reader.GetString());

@@ -20,11 +20,16 @@ namespace cloudiq {
 // Doubles are stored raw. Every page additionally passes through the
 // generic page codec (store/page_codec.h) for page-level compression.
 
-// Packs `values` at `bit_width` bits each (little-endian bit order).
+// Packs the low `bit_width` bits (1..64) of each of `values`, in
+// little-endian bit order, into (values.size() * bit_width + 7) / 8 bytes.
 std::vector<uint8_t> NBitPack(const std::vector<uint64_t>& values,
                               int bit_width);
-std::vector<uint64_t> NBitUnpack(const std::vector<uint8_t>& bytes,
-                                 int bit_width, size_t count);
+
+// Unpacks `count` values of `bit_width` bits (1..64) from `bytes[0, size)`
+// into `out[0, count)`. Bits past `size` read as zero, so a short buffer
+// is never read out of bounds.
+void NBitUnpack(const uint8_t* bytes, size_t size, int bit_width,
+                size_t count, uint64_t* out);
 
 // Smallest width that can represent `max_value` (>= 1 bit).
 int BitWidthFor(uint64_t max_value);

@@ -71,25 +71,33 @@ class ByteReader {
     std::memcpy(&v, &bits, sizeof(v));
     return v;
   }
+  uint8_t GetU8() {
+    uint8_t v = 0;
+    Read(&v, sizeof(v));
+    return v;
+  }
   std::vector<uint8_t> GetBytes(size_t n) {
-    if (pos_ + n > size_) {
+    const uint8_t* p = GetPointer(n);
+    if (p == nullptr) return {};
+    return std::vector<uint8_t>(p, p + n);
+  }
+  // The next `n` bytes in place (valid while the underlying buffer is), or
+  // nullptr with `overflow()` latched when fewer than `n` remain.
+  const uint8_t* GetPointer(size_t n) {
+    if (n > size_ - pos_) {
       overflow_ = true;
-      return {};
+      return nullptr;
     }
-    std::vector<uint8_t> out(data_ + pos_, data_ + pos_ + n);
+    const uint8_t* p = data_ + pos_;
     pos_ += n;
-    return out;
+    return p;
   }
 
   std::string GetString() {
     uint32_t n = GetU32();
-    if (pos_ + n > size_) {
-      overflow_ = true;
-      return std::string();
-    }
-    std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
-    pos_ += n;
-    return s;
+    const uint8_t* p = GetPointer(n);
+    if (p == nullptr) return std::string();
+    return std::string(reinterpret_cast<const char*>(p), n);
   }
 
   size_t remaining() const { return size_ - pos_; }
@@ -97,12 +105,8 @@ class ByteReader {
 
  private:
   void Read(void* dst, size_t n) {
-    if (pos_ + n > size_) {
-      overflow_ = true;
-      return;
-    }
-    std::memcpy(dst, data_ + pos_, n);
-    pos_ += n;
+    const uint8_t* p = GetPointer(n);
+    if (p != nullptr) std::memcpy(dst, p, n);
   }
 
   const uint8_t* data_;

@@ -108,7 +108,14 @@ IntervalSet IntervalSet::Deserialize(const std::vector<uint8_t>& bytes) {
     off += sizeof(uint64_t);
     std::memcpy(&end, bytes.data() + off, sizeof(uint64_t));
     off += sizeof(uint64_t);
-    set.InsertRange(begin, end);
+    // Serialize writes sorted, coalesced intervals: each one that starts
+    // past the last end appends at the back. Anything else merges.
+    auto& map = set.intervals_;
+    if (begin < end && (map.empty() || begin > map.rbegin()->second)) {
+      map.emplace_hint(map.end(), begin, end);
+    } else {
+      set.InsertRange(begin, end);
+    }
   }
   return set;
 }

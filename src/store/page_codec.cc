@@ -53,36 +53,48 @@ std::vector<uint8_t> RleCompress(const std::vector<uint8_t>& in) {
 
 Result<std::vector<uint8_t>> RleDecompress(const std::vector<uint8_t>& in,
                                            uint64_t expected_size) {
-  std::vector<uint8_t> out;
-  out.reserve(expected_size);
+  // First pass: validate every marker and sum the run and literal
+  // lengths, so a corrupt length or `expected_size` fails here instead of
+  // sizing an allocation.
+  uint64_t total = 0;
   size_t i = 0;
   while (i < in.size()) {
     uint8_t marker = in[i++];
-    if (marker == 0x00) {
-      if (i + 5 > in.size()) return Status::Corruption("truncated RLE run");
-      uint8_t value = in[i++];
-      uint32_t len;
-      std::memcpy(&len, in.data() + i, 4);
-      i += 4;
-      // A corrupt length must fail here, not expand to gigabytes.
-      if (out.size() + len > expected_size) {
-        return Status::Corruption("RLE run overrun");
-      }
-      out.insert(out.end(), len, value);
-    } else if (marker == 0x01) {
-      if (i + 4 > in.size()) return Status::Corruption("truncated literal");
-      uint32_t len;
-      std::memcpy(&len, in.data() + i, 4);
-      i += 4;
-      if (i + len > in.size()) return Status::Corruption("literal overrun");
-      out.insert(out.end(), in.begin() + i, in.begin() + i + len);
+    if (marker > 0x01) return Status::Corruption("bad RLE marker");
+    size_t header = marker == 0x00 ? 5 : 4;  // [byte] u32 length
+    if (in.size() - i < header) return Status::Corruption("truncated RLE");
+    uint32_t len;
+    std::memcpy(&len, in.data() + i + header - 4, 4);
+    i += header;
+    if (marker == 0x01) {
+      if (in.size() - i < len) return Status::Corruption("literal overrun");
       i += len;
-    } else {
-      return Status::Corruption("bad RLE marker");
     }
+    if (len > expected_size - total) {
+      return Status::Corruption("RLE run overrun");
+    }
+    total += len;
   }
-  if (out.size() != expected_size) {
+  if (total != expected_size) {
     return Status::Corruption("RLE size mismatch");
+  }
+
+  // Second pass: the markers are known good; fill the one allocation.
+  std::vector<uint8_t> out(expected_size);
+  size_t pos = 0;
+  i = 0;
+  while (i < in.size()) {
+    uint8_t marker = in[i++];
+    size_t header = marker == 0x00 ? 5 : 4;
+    uint32_t len;
+    std::memcpy(&len, in.data() + i + header - 4, 4);
+    if (len > 0 && marker == 0x00) {
+      std::memset(out.data() + pos, in[i], len);
+    } else if (len > 0) {
+      std::memcpy(out.data() + pos, in.data() + i + header, len);
+    }
+    pos += len;
+    i += header + (marker == 0x01 ? len : 0);
   }
   return out;
 }

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <set>
+
 #include "columnar/date_index.h"
 #include "columnar/encoding.h"
 #include "columnar/hg_index.h"
@@ -7,6 +10,7 @@
 #include "columnar/table_reader.h"
 #include "columnar/text_index.h"
 #include "columnar/value.h"
+#include "common/coding.h"
 #include "exec/batch.h"
 #include "tests/test_util.h"
 #include "txn/transaction_manager.h"
@@ -64,6 +68,46 @@ TEST(ValueTest, DecimalScaling) {
   }
 }
 
+// The original bit-serial codec, kept as the reference the word-at-a-time
+// kernels must match bit for bit.
+std::vector<uint8_t> ReferenceNBitPack(const std::vector<uint64_t>& values,
+                                       int bit_width) {
+  std::vector<uint8_t> out((values.size() * bit_width + 7) / 8, 0);
+  size_t bit_pos = 0;
+  for (uint64_t v : values) {
+    for (int b = 0; b < bit_width; ++b, ++bit_pos) {
+      if ((v >> b) & 1) {
+        out[bit_pos / 8] |= static_cast<uint8_t>(1u << (bit_pos % 8));
+      }
+    }
+  }
+  return out;
+}
+
+std::vector<uint64_t> ReferenceNBitUnpack(const std::vector<uint8_t>& bytes,
+                                          int bit_width, size_t count) {
+  std::vector<uint64_t> out(count, 0);
+  size_t bit_pos = 0;
+  for (size_t i = 0; i < count; ++i) {
+    uint64_t v = 0;
+    for (int b = 0; b < bit_width; ++b, ++bit_pos) {
+      if (bit_pos / 8 < bytes.size() &&
+          (bytes[bit_pos / 8] >> (bit_pos % 8)) & 1) {
+        v |= uint64_t{1} << b;
+      }
+    }
+    out[i] = v;
+  }
+  return out;
+}
+
+std::vector<uint64_t> Unpack(const std::vector<uint8_t>& bytes,
+                             int bit_width, size_t count) {
+  std::vector<uint64_t> out(count);
+  NBitUnpack(bytes.data(), bytes.size(), bit_width, count, out.data());
+  return out;
+}
+
 // Property sweep: n-bit packing round-trips at every width.
 class NBitPackTest : public ::testing::TestWithParam<int> {};
 
@@ -76,13 +120,40 @@ TEST_P(NBitPackTest, RoundTrip) {
   for (int i = 0; i < 500; ++i) values.push_back(rng.Next() & mask);
   std::vector<uint8_t> packed = NBitPack(values, width);
   EXPECT_LE(packed.size(), (values.size() * width + 7) / 8);
-  std::vector<uint64_t> back = NBitUnpack(packed, width, values.size());
+  std::vector<uint64_t> back = Unpack(packed, width, values.size());
   EXPECT_EQ(back, values);
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, NBitPackTest,
                          ::testing::Values(1, 2, 3, 5, 7, 8, 13, 16, 21,
                                            32, 47, 63, 64));
+
+// Every width and every count up to 200 crosses both the grouped word path
+// and the byte-safe tail. Inputs carry bits above the width, which packing
+// must drop. Truncated copies are exactly sized heap buffers, so an
+// over-read shows under ASan.
+TEST(NBitCodecTest, MatchesBitSerialReference) {
+  Rng rng(14);
+  for (int width = 1; width <= 64; ++width) {
+    for (size_t count = 0; count <= 200; ++count) {
+      SCOPED_TRACE("width " + std::to_string(width) + " count " +
+                   std::to_string(count));
+      std::vector<uint64_t> values(count);
+      for (auto& v : values) v = rng.Next();
+      std::vector<uint8_t> packed = NBitPack(values, width);
+      ASSERT_EQ(packed, ReferenceNBitPack(values, width));
+      ASSERT_EQ(Unpack(packed, width, count),
+                ReferenceNBitUnpack(packed, width, count));
+      for (size_t cut : {packed.size() / 2, packed.size() * 7 / 8,
+                         packed.size() > 0 ? packed.size() - 1 : 0}) {
+        std::vector<uint8_t> truncated(packed.begin(),
+                                       packed.begin() + cut);
+        ASSERT_EQ(Unpack(truncated, width, count),
+                  ReferenceNBitUnpack(truncated, width, count));
+      }
+    }
+  }
+}
 
 TEST(EncodingTest, BitWidthFor) {
   EXPECT_EQ(BitWidthFor(0), 1);
@@ -205,6 +276,66 @@ TEST(EncodingTest, SubrangeEncoding) {
   EXPECT_EQ(back->ints.back(), 39);
   EXPECT_EQ(zone.min_int, 20);
   EXPECT_EQ(zone.max_int, 39);
+}
+
+// Hostile pages: each must come back as Corruption, not a crash, an
+// out-of-range shift or an allocation sized by a corrupt count.
+std::vector<uint8_t> PageHeader(ColumnType type, uint32_t count,
+                                uint8_t encoding) {
+  std::vector<uint8_t> page;
+  PutU32(page, static_cast<uint32_t>(type));
+  PutU32(page, count);
+  page.push_back(encoding);
+  return page;
+}
+
+TEST(EncodingTest, PageCutAfterEncodingByteIsCorruption) {
+  const std::pair<ColumnType, uint8_t> pages[] = {
+      {ColumnType::kInt64, 1},  {ColumnType::kDouble, 2},
+      {ColumnType::kString, 3}, {ColumnType::kString, 4},
+      {ColumnType::kInt64, 5}};
+  for (const auto& [type, encoding] : pages) {
+    Result<ColumnVector> r =
+        DecodeColumnPage(PageHeader(type, 10, encoding));
+    ASSERT_FALSE(r.ok()) << int{encoding};
+    EXPECT_TRUE(r.status().IsCorruption());
+  }
+  EXPECT_TRUE(DecodeColumnPage({}).status().IsCorruption());
+}
+
+TEST(EncodingTest, WidthOutsideOneTo64IsCorruption) {
+  const uint32_t count = 10;
+  for (int width : {0, 65, 100, 255}) {
+    std::vector<uint8_t> page = PageHeader(ColumnType::kInt64, count, 1);
+    page.push_back(static_cast<uint8_t>(width));
+    PutI64(page, 0);
+    page.resize(page.size() + (count * width + 7) / 8, 0xab);
+    Result<ColumnVector> r = DecodeColumnPage(page);
+    ASSERT_FALSE(r.ok()) << width;
+    EXPECT_TRUE(r.status().IsCorruption());
+  }
+}
+
+TEST(EncodingTest, InflatedCountIsCorruption) {
+  ColumnVector ints{ColumnType::kInt64, {5, 9, 2, 7}, {}, {}};
+  ColumnVector sorted{ColumnType::kInt64, {100, 101, 102, 103}, {}, {}};
+  ColumnVector doubles{ColumnType::kDouble, {}, {0.5, 1.5}, {}};
+  ColumnVector dict{ColumnType::kString, {}, {}, {"a", "a", "a", "a"}};
+  ColumnVector raw{ColumnType::kString, {}, {}, {"x", "yz"}};
+  std::set<uint8_t> encodings;
+  for (const ColumnVector* col : {&ints, &sorted, &doubles, &dict, &raw}) {
+    ZoneMapEntry zone;
+    std::vector<uint8_t> page =
+        EncodeColumnPage(*col, 0, col->size(), &zone);
+    ASSERT_TRUE(DecodeColumnPage(page).ok());
+    encodings.insert(page[8]);
+    uint32_t huge = 0xFFFFFFFF;
+    std::memcpy(page.data() + 4, &huge, sizeof(huge));
+    Result<ColumnVector> r = DecodeColumnPage(page);
+    ASSERT_FALSE(r.ok()) << int{page[8]};
+    EXPECT_TRUE(r.status().IsCorruption());
+  }
+  EXPECT_EQ(encodings, (std::set<uint8_t>{1, 2, 3, 4, 5}));
 }
 
 class TableStoreTest : public ::testing::Test {

@@ -189,6 +189,42 @@ TEST(IntervalSetTest, SerializeRoundTrip) {
   EXPECT_TRUE(set == back);
 }
 
+// Deserialize appends sorted, disjoint input at the back of the set and
+// merges anything else through InsertRange; either way the result must
+// equal inserting every pair in order.
+TEST(IntervalSetTest, DeserializeMatchesInsertRange) {
+  auto check = [](const std::vector<std::pair<uint64_t, uint64_t>>& pairs) {
+    std::vector<uint8_t> bytes;
+    PutU64(bytes, pairs.size());
+    IntervalSet expected;
+    for (const auto& [begin, end] : pairs) {
+      PutU64(bytes, begin);
+      PutU64(bytes, end);
+      expected.InsertRange(begin, end);
+    }
+    EXPECT_TRUE(IntervalSet::Deserialize(bytes) == expected);
+  };
+  check({{1, 5}, {7, 9}, {20, 30}});     // sorted, disjoint
+  check({{1, 5}, {5, 9}, {9, 10}});      // adjacent
+  check({{1, 10}, {4, 6}, {8, 20}});     // overlapping
+  check({{50, 60}, {1, 5}, {30, 40}});   // unsorted
+  check({{5, 5}, {9, 3}, {1, 2}});       // empty and inverted
+  check({{1, 4}, {6, 8}, {2, 7}, {30, 31}});  // bridges two intervals
+  Rng rng(2024);
+  for (int iter = 0; iter < 200; ++iter) {
+    IntervalSet set;
+    std::vector<std::pair<uint64_t, uint64_t>> pairs;
+    for (int i = 0; i < 30; ++i) {
+      uint64_t begin = rng.Uniform(400);
+      uint64_t end = begin + rng.Uniform(20);
+      set.InsertRange(begin, end);
+      pairs.push_back({begin, end});
+    }
+    EXPECT_TRUE(IntervalSet::Deserialize(set.Serialize()) == set);
+    check(pairs);
+  }
+}
+
 TEST(IntervalSetTest, HighRangeKeys) {
   // Object keys live in [2^63, 2^64); make sure no arithmetic trips.
   IntervalSet set;

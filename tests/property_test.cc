@@ -7,12 +7,15 @@
 //  * crash recovery preserves every committed table and collects every
 //    orphan, wherever the crash lands;
 //  * query results do not depend on the buffer cache capacity;
-//  * the page codec never crashes on corrupted input.
+//  * the page codec and the column page decoder never crash on corrupted
+//    input.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
+#include "columnar/encoding.h"
 #include "engine/consistency_check.h"
 #include "engine/database.h"
 #include "exec/executor.h"
@@ -367,6 +370,105 @@ TEST(CodecFuzzTest, CorruptedFramesErrorCleanly) {
       EXPECT_EQ(t.value(), payload);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Column page decoder fuzz.
+// ---------------------------------------------------------------------------
+
+// A column whose page takes encoding `kind` (1 frame-of-reference, 2 raw
+// double, 3 dictionary string, 4 raw string, 5 delta).
+ColumnVector FuzzColumn(Rng& rng, int kind, size_t rows) {
+  ColumnVector col;
+  col.type = kind == 2   ? ColumnType::kDouble
+             : kind == 3 || kind == 4 ? ColumnType::kString
+                                      : ColumnType::kInt64;
+  int64_t v = static_cast<int64_t>(rng.Next() >> 8);
+  for (size_t i = 0; i < rows; ++i) {
+    switch (kind) {
+      case 1:
+        col.ints.push_back(v + static_cast<int64_t>(
+                                   rng.Uniform(uint64_t{1} << (i % 40 + 1))));
+        break;
+      case 2:
+        col.doubles.push_back(rng.NextDouble() * 1e6);
+        break;
+      case 3:
+        col.strings.push_back("v" + std::to_string(rng.Uniform(5)));
+        break;
+      case 4:
+        col.strings.push_back("comment " + std::to_string(rng.Next()));
+        break;
+      default:
+        v += static_cast<int64_t>(rng.Uniform(4));
+        col.ints.push_back(v);
+    }
+  }
+  return col;
+}
+
+uint32_t DeclaredCount(const std::vector<uint8_t>& page) {
+  uint32_t count = 0;
+  std::memcpy(&count, page.data() + 4, sizeof(count));
+  return count;
+}
+
+// A mutated page must decode to an error or to exactly the row count its
+// header declares, never crash or size anything by a corrupt count.
+void ExpectCleanDecode(const std::vector<uint8_t>& page) {
+  Result<ColumnVector> r = DecodeColumnPage(page);
+  if (r.ok()) {
+    ASSERT_GE(page.size(), 8u);
+    EXPECT_EQ(r->size(), DeclaredCount(page));
+  }
+}
+
+TEST(ColumnPageFuzzTest, MutatedPagesErrorOrKeepDeclaredSize) {
+  Rng rng(1414);
+  std::set<uint8_t> encodings;
+  for (int iter = 0; iter < 100; ++iter) {
+    int kind = 1 + iter % 5;
+    // Sorted runs long enough that delta beats frame-of-reference.
+    size_t rows = kind == 5 ? 20 + rng.Uniform(180) : rng.Uniform(200);
+    ColumnVector col = FuzzColumn(rng, kind, rows);
+    ZoneMapEntry zone;
+    std::vector<uint8_t> page = EncodeColumnPage(col, 0, rows, &zone);
+    uint8_t encoding = page[8];
+    encodings.insert(encoding);
+    Result<ColumnVector> clean = DecodeColumnPage(page);
+    ASSERT_TRUE(clean.ok());
+    ASSERT_EQ(clean->size(), rows);
+
+    for (int flip = 0; flip < 20; ++flip) {
+      std::vector<uint8_t> bad = page;
+      for (uint64_t n = 1 + rng.Uniform(3); n > 0; --n) {
+        bad[rng.Uniform(bad.size())] ^=
+            static_cast<uint8_t>(1u << rng.Uniform(8));
+      }
+      ExpectCleanDecode(bad);
+    }
+    for (size_t cut = 0; cut < page.size(); ++cut) {
+      std::vector<uint8_t> truncated(page.begin(), page.begin() + cut);
+      EXPECT_FALSE(DecodeColumnPage(truncated).ok()) << cut;
+    }
+    for (uint32_t count :
+         {static_cast<uint32_t>(rows + 1), static_cast<uint32_t>(2 * rows + 9),
+          uint32_t{0xFFFF}, uint32_t{0x7FFFFFFF}, uint32_t{0xFFFFFFFF},
+          static_cast<uint32_t>(rows + rng.Uniform(0xFFFFFFFF - rows)),
+          static_cast<uint32_t>(rng.Next())}) {
+      std::vector<uint8_t> inflated = page;
+      std::memcpy(inflated.data() + 4, &count, sizeof(count));
+      ExpectCleanDecode(inflated);
+    }
+    if (encoding == 1 || encoding == 3 || encoding == 5) {
+      for (uint8_t width : {0, 65, 255}) {
+        std::vector<uint8_t> bad = page;
+        bad[9] = width;
+        EXPECT_FALSE(DecodeColumnPage(bad).ok()) << int{width};
+      }
+    }
+  }
+  EXPECT_EQ(encodings, (std::set<uint8_t>{1, 2, 3, 4, 5}));
 }
 
 }  // namespace

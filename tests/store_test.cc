@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "common/coding.h"
 #include "store/freelist.h"
 #include "store/object_store_io.h"
 #include "store/page_codec.h"
@@ -87,6 +90,30 @@ TEST(RleTest, RunsAndLiterals) {
   Result<std::vector<uint8_t>> back = RleDecompress(compressed, in.size());
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value(), in);
+}
+
+// A frame whose header claims 2^62 raw bytes must fail before anything
+// is sized by that claim.
+TEST(RleTest, HugeRawSizeIsCorruption) {
+  std::vector<uint8_t> payload(1000, 7);
+  std::vector<uint8_t> frame = EncodePage(payload);
+  ASSERT_TRUE(DecodePage(frame).ok());
+  uint64_t huge = uint64_t{1} << 62;
+  std::memcpy(frame.data() + 8, &huge, sizeof(huge));
+  EXPECT_TRUE(DecodePage(frame).status().IsCorruption());
+
+  std::vector<uint8_t> compressed = RleCompress(payload);
+  EXPECT_TRUE(RleDecompress(compressed, huge).status().IsCorruption());
+  // Runs that add up past the claimed size fail before any fill.
+  std::vector<uint8_t> runs;
+  for (int i = 0; i < 3; ++i) {
+    runs.push_back(0x00);
+    runs.push_back(1);
+    PutU32(runs, 0xFFFFFFFF);
+  }
+  EXPECT_TRUE(RleDecompress(runs, 0xFFFFFFFF).status().IsCorruption());
+  EXPECT_TRUE(RleDecompress({0x02}, 0).status().IsCorruption());
+  EXPECT_TRUE(RleDecompress({0x01, 9, 0, 0, 0, 1}, 9).status().IsCorruption());
 }
 
 TEST(FreelistTest, AllocateAndFree) {

@@ -588,7 +588,7 @@ TEST(WorkloadCostTest, LedgerMatchesMeterWithNdpSelects) {
   // Range scans with different windows per submission, so several NDP
   // SELECT requests of different sizes interleave on the sim clock.
   for (int round = 0; round < 3; ++round) {
-    for (const std::string& name : {"red", "green", "blue"}) {
+    for (const char* name : {"red", "green", "blue"}) {
       int64_t lo = 500 * (round + 1);
       int64_t hi = lo + 999;
       engine.Submit(name, "ndp-scan", 0,
