@@ -32,15 +32,13 @@ inline uint64_t LoadWord(const uint8_t* p) {
   return v;
 }
 
-// The `W`-bit value whose lowest bit is bit `kBit` of `p`. The word load
-// at byte kBit / 8 covers it unless its bits run past that word, which
-// only widths above 56 can do.
-template <int W, int kBit>
-inline uint64_t ExtractValue(const uint8_t* p) {
-  constexpr int kShift = kBit % 8;
-  const uint8_t* q = p + kBit / 8;
-  uint64_t v = LoadWord(q) >> kShift;
-  if constexpr (kShift + W > 64) v |= LoadWord(q + 8) << (64 - kShift);
+// The `W`-bit value whose lowest bit is bit `shift` (0..7) of `p[0]`. One
+// word load covers it unless its bits run past that word, which only
+// widths above 56 can do.
+template <int W>
+inline uint64_t ExtractValue(const uint8_t* p, int shift) {
+  uint64_t v = LoadWord(p) >> shift;
+  if (shift + W > 64) v |= LoadWord(p + 8) << (64 - shift);
   return v & LowBits(W);
 }
 
@@ -49,7 +47,7 @@ inline uint64_t ExtractValue(const uint8_t* p) {
 template <int W, int... J>
 inline void UnpackGroup(const uint8_t* p, uint64_t* out,
                         std::integer_sequence<int, J...>) {
-  ((out[J] = ExtractValue<W, J * W>(p)), ...);
+  ((out[J] = ExtractValue<W>(p + J * W / 8, J * W % 8)), ...);
 }
 
 template <int W>
@@ -71,10 +69,7 @@ void UnpackWidth(const uint8_t* in, size_t size, size_t count,
     if (byte < size) {
       std::memcpy(window, in + byte, std::min<size_t>(16, size - byte));
     }
-    int shift = static_cast<int>(i * W % 8);
-    uint64_t v = LoadWord(window) >> shift;
-    if (shift + W > 64) v |= LoadWord(window + 8) << (64 - shift);
-    out[i] = v & LowBits(W);
+    out[i] = ExtractValue<W>(window, static_cast<int>(i * W % 8));
   }
 }
 
