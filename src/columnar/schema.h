@@ -6,8 +6,9 @@
 #include <vector>
 
 #include "columnar/encoding.h"
+#include "columnar/posting_index.h"
 #include "columnar/value.h"
-#include "common/coding.h"
+#include "common/result.h"
 
 namespace cloudiq {
 
@@ -17,8 +18,8 @@ struct ColumnDef {
 };
 
 // Logical table definition. Tables can be range-partitioned on one column
-// (as the paper's TPC-H setup creates them) and carry High-Group indexes
-// on selected integer key columns.
+// (as the paper's TPC-H setup creates them) and carry posting-list
+// indexes (HG, DATE, TEXT; see posting_index.h) on selected columns.
 struct TableSchema {
   std::string name;
   uint64_t table_id = 0;
@@ -47,9 +48,6 @@ struct TableSchema {
   size_t partition_count() const {
     return partition_column < 0 ? 1 : partition_bounds.size() + 1;
   }
-
-  std::vector<uint8_t> Serialize() const;
-  static TableSchema Deserialize(ByteReader& reader);
 };
 
 // Durable per-segment metadata: where a (partition, column) segment's
@@ -63,31 +61,28 @@ struct SegmentMeta {
   // Stored frame bytes per page (EncodePage output; encryption is
   // size-preserving). This is the size S3 SELECT bills as "scanned", so
   // the cost model can price pushdown against real billing instead of a
-  // decoded-width guess. Empty for segments written before this field.
+  // decoded-width guess. May be empty; the executor then prices pushdown
+  // from decoded widths.
   std::vector<uint32_t> page_bytes;
-
-  std::vector<uint8_t> Serialize() const;
-  static SegmentMeta Deserialize(ByteReader& reader);
 };
 
-// Per-partition metadata: one segment per column plus HG index objects.
+// One index kind's slots in a partition, parallel to that kind's column
+// list in TableSchema: the index storage object (0 when the partition has
+// no rows to index) and its per-page key ranges, which prune index page
+// reads.
+template <typename Key>
+struct PartitionIndexes {
+  std::vector<uint64_t> objects;
+  std::vector<typename PostingIndex<Key>::PageRanges> page_ranges;
+};
+
+// Per-partition metadata: one segment per column plus the index slots.
 struct PartitionMeta {
   uint64_t row_count = 0;
   std::vector<SegmentMeta> columns;
-  // Parallel to TableSchema::hg_index_columns: the index storage objects
-  // and per-index-page key ranges (for pruning index page reads).
-  std::vector<uint64_t> index_objects;
-  std::vector<std::vector<std::pair<int64_t, int64_t>>> index_page_ranges;
-  // Parallel to TableSchema::date_index_columns.
-  std::vector<uint64_t> date_index_objects;
-  std::vector<std::vector<std::pair<int64_t, int64_t>>> date_index_ranges;
-  // Parallel to TableSchema::text_index_columns.
-  std::vector<uint64_t> text_index_objects;
-  std::vector<std::vector<std::pair<std::string, std::string>>>
-      text_index_ranges;
-
-  std::vector<uint8_t> Serialize() const;
-  static PartitionMeta Deserialize(ByteReader& reader);
+  PartitionIndexes<int64_t> hg_indexes;        // hg_index_columns
+  PartitionIndexes<int64_t> date_indexes;      // date_index_columns
+  PartitionIndexes<std::string> text_indexes;  // text_index_columns
 };
 
 struct TableMeta {
@@ -101,7 +96,10 @@ struct TableMeta {
   }
 
   std::vector<uint8_t> Serialize() const;
-  static TableMeta Deserialize(const std::vector<uint8_t>& bytes);
+  // Corruption when a count or length overruns the bytes, bytes are left
+  // over, or a partition's segments or index slots do not match the
+  // schema's column and index lists.
+  static Result<TableMeta> Deserialize(const std::vector<uint8_t>& bytes);
 };
 
 }  // namespace cloudiq

@@ -34,9 +34,9 @@ TableLoader::TableLoader(TransactionManager* txn_mgr, Transaction* txn,
     part.staged_col_bytes.resize(schema_.columns.size(), 0);
     part.objects.resize(schema_.columns.size(), nullptr);
     part.segments.resize(schema_.columns.size());
-    part.index_builders.resize(schema_.hg_index_columns.size());
-    part.date_index_builders.resize(schema_.date_index_columns.size());
-    part.text_index_builders.resize(schema_.text_index_columns.size());
+    part.hg_postings.resize(schema_.hg_index_columns.size());
+    part.date_postings.resize(schema_.date_index_columns.size());
+    part.text_postings.resize(schema_.text_index_columns.size());
     for (size_t c = 0; c < schema_.columns.size(); ++c) {
       part.staging[c].type = schema_.columns[c].type;
       part.segments[c].object_id =
@@ -82,20 +82,20 @@ Status TableLoader::Append(const std::vector<ColumnVector>& batch) {
         CLOUDIQ_RETURN_IF_ERROR(EmitColumnPage(&part, c));
       }
     }
-    ++part.row_count;
+    uint64_t row = part.row_count++;
     for (size_t s = 0; s < schema_.hg_index_columns.size(); ++s) {
       int col = schema_.hg_index_columns[s];
-      part.index_builders[s].Add(batch[col].ints[i], part.row_count - 1);
+      part.hg_postings[s][batch[col].ints[i]].Insert(row);
     }
     for (size_t s = 0; s < schema_.date_index_columns.size(); ++s) {
       int col = schema_.date_index_columns[s];
-      part.date_index_builders[s].Add(batch[col].ints[i],
-                                      part.row_count - 1);
+      part.date_postings[s][MonthKeyOfDays(batch[col].ints[i])].Insert(row);
     }
     for (size_t s = 0; s < schema_.text_index_columns.size(); ++s) {
       int col = schema_.text_index_columns[s];
-      part.text_index_builders[s].Add(batch[col].strings[i],
-                                      part.row_count - 1);
+      for (const std::string& word : Tokenize(batch[col].strings[i])) {
+        part.text_postings[s][word].Insert(row);
+      }
     }
   }
   rows_appended_ += rows;
@@ -130,13 +130,35 @@ Status TableLoader::EmitColumnPage(PartitionState* part, size_t c) {
   return Status::Ok();
 }
 
+template <typename Key>
+Status TableLoader::BuildIndexes(
+    size_t partition, size_t slot_base,
+    const std::vector<typename PostingIndex<Key>::Postings>& postings,
+    PartitionIndexes<Key>* indexes) {
+  uint64_t page_target = static_cast<uint64_t>(
+      space_->page_size * options_.target_page_fill);
+  for (size_t s = 0; s < postings.size(); ++s) {
+    if (postings[s].empty()) {
+      indexes->objects.push_back(0);
+      indexes->page_ranges.emplace_back();
+      continue;
+    }
+    uint64_t object_id =
+        ObjectIdFor(schema_.table_id, partition, slot_base + s);
+    CLOUDIQ_ASSIGN_OR_RETURN(
+        auto ranges, PostingIndex<Key>::Build(txn_mgr_, txn_, object_id,
+                                              space_, postings[s],
+                                              page_target));
+    indexes->objects.push_back(object_id);
+    indexes->page_ranges.push_back(std::move(ranges));
+  }
+  return Status::Ok();
+}
+
 Result<TableMeta> TableLoader::Finish(SystemStore* system) {
   TableMeta meta;
   meta.schema = schema_;
   meta.partitions.resize(partitions_.size());
-  uint64_t index_page_target = static_cast<uint64_t>(
-      space_->page_size * options_.target_page_fill);
-
   for (size_t p = 0; p < partitions_.size(); ++p) {
     PartitionState& part = partitions_[p];
     for (size_t c = 0; c < schema_.columns.size(); ++c) {
@@ -145,54 +167,12 @@ Result<TableMeta> TableLoader::Finish(SystemStore* system) {
     PartitionMeta& pm = meta.partitions[p];
     pm.row_count = part.row_count;
     pm.columns = part.segments;
-
-    for (size_t s = 0; s < schema_.hg_index_columns.size(); ++s) {
-      uint64_t index_object =
-          ObjectIdFor(schema_.table_id, p, 90 + s);
-      if (part.index_builders[s].empty()) {
-        pm.index_objects.push_back(0);
-        pm.index_page_ranges.emplace_back();
-        continue;
-      }
-      CLOUDIQ_ASSIGN_OR_RETURN(
-          auto ranges,
-          HgIndex::Build(txn_mgr_, txn_, index_object, space_,
-                         part.index_builders[s], index_page_target));
-      pm.index_objects.push_back(index_object);
-      pm.index_page_ranges.push_back(std::move(ranges));
-    }
-
-    for (size_t s = 0; s < schema_.date_index_columns.size(); ++s) {
-      uint64_t index_object = ObjectIdFor(schema_.table_id, p, 70 + s);
-      if (part.date_index_builders[s].empty()) {
-        pm.date_index_objects.push_back(0);
-        pm.date_index_ranges.emplace_back();
-        continue;
-      }
-      CLOUDIQ_ASSIGN_OR_RETURN(
-          auto ranges,
-          DateIndex::Build(txn_mgr_, txn_, index_object, space_,
-                           part.date_index_builders[s],
-                           index_page_target));
-      pm.date_index_objects.push_back(index_object);
-      pm.date_index_ranges.push_back(std::move(ranges));
-    }
-
-    for (size_t s = 0; s < schema_.text_index_columns.size(); ++s) {
-      uint64_t index_object = ObjectIdFor(schema_.table_id, p, 60 + s);
-      if (part.text_index_builders[s].empty()) {
-        pm.text_index_objects.push_back(0);
-        pm.text_index_ranges.emplace_back();
-        continue;
-      }
-      CLOUDIQ_ASSIGN_OR_RETURN(
-          auto ranges,
-          TextIndex::Build(txn_mgr_, txn_, index_object, space_,
-                           part.text_index_builders[s],
-                           index_page_target));
-      pm.text_index_objects.push_back(index_object);
-      pm.text_index_ranges.push_back(std::move(ranges));
-    }
+    CLOUDIQ_RETURN_IF_ERROR(BuildIndexes(p, 90, part.hg_postings,
+                                         &pm.hg_indexes));
+    CLOUDIQ_RETURN_IF_ERROR(BuildIndexes(p, 70, part.date_postings,
+                                         &pm.date_indexes));
+    CLOUDIQ_RETURN_IF_ERROR(BuildIndexes(p, 60, part.text_postings,
+                                         &pm.text_indexes));
   }
 
   SimClock& clock = txn_mgr_->storage().node()->clock();

@@ -5,9 +5,7 @@
 #include <memory>
 #include <vector>
 
-#include "columnar/date_index.h"
-#include "columnar/text_index.h"
-#include "columnar/hg_index.h"
+#include "columnar/posting_index.h"
 #include "columnar/schema.h"
 #include "store/system_store.h"
 #include "txn/transaction_manager.h"
@@ -21,8 +19,8 @@ namespace cloudiq {
 // per page while comment columns cut far more often, exactly as a
 // disk-based columnar store fills pages. Pages are encoded (dictionary /
 // n-bit / frame-of-reference) and appended to the partition's column
-// storage objects; HG indexes build as rows stream by. Finish() flushes
-// tails, writes the index objects and persists the table metadata.
+// storage objects; index postings gather as rows stream by. Finish()
+// flushes tails, writes the index objects and persists the table metadata.
 //
 // CPU consumed by parsing/encoding is *accumulated*, not applied: the
 // load driver drains cpu_seconds() into the simulated clock with the
@@ -44,7 +42,7 @@ class TableLoader {
   // schema's column order).
   Status Append(const std::vector<ColumnVector>& batch);
 
-  // Flushes remaining staged rows, builds HG indexes and persists the
+  // Flushes remaining staged rows, builds the indexes and persists the
   // table metadata blob under "tablemeta/<table_id>". The caller commits
   // the transaction afterwards.
   Result<TableMeta> Finish(SystemStore* system);
@@ -59,7 +57,7 @@ class TableLoader {
   uint64_t rows_appended() const { return rows_appended_; }
 
   // Storage object id for (table, partition, column); index objects use
-  // column slots >= 90.
+  // column slots from 60 (TEXT), 70 (DATE) and 90 (HG).
   static uint64_t ObjectIdFor(uint64_t table_id, size_t partition,
                               size_t column) {
     return table_id * 100000 + partition * 128 + column;
@@ -72,14 +70,22 @@ class TableLoader {
     std::vector<uint64_t> staged_col_bytes;  // raw-size estimate per column
     uint64_t row_count = 0;  // rows routed to this partition so far
     std::vector<SegmentMeta> segments;
-    std::vector<HgIndex::Builder> index_builders;
-    std::vector<DateIndex::Builder> date_index_builders;
-    std::vector<TextIndex::Builder> text_index_builders;
+    // Postings per index slot, parallel to the schema's index lists.
+    std::vector<PostingIndex<int64_t>::Postings> hg_postings;
+    std::vector<PostingIndex<int64_t>::Postings> date_postings;
+    std::vector<PostingIndex<std::string>::Postings> text_postings;
   };
 
   size_t PartitionFor(int64_t partition_value) const;
   // Cuts a page for one column of one partition.
   Status EmitColumnPage(PartitionState* part, size_t column);
+  // Writes one index kind's postings of partition `partition`, slot s
+  // into object column slot `slot_base + s`.
+  template <typename Key>
+  Status BuildIndexes(
+      size_t partition, size_t slot_base,
+      const std::vector<typename PostingIndex<Key>::Postings>& postings,
+      PartitionIndexes<Key>* indexes);
 
   TransactionManager* txn_mgr_;
   Transaction* txn_;

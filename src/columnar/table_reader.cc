@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "columnar/date_index.h"
-#include "columnar/text_index.h"
-
 namespace cloudiq {
 
 TableReader::TableReader(TransactionManager* txn_mgr, Transaction* txn,
@@ -21,7 +18,8 @@ Result<TableReader> TableReader::Open(TransactionManager* txn_mgr,
       system->Get("tablemeta/" + std::to_string(table_id), clock.now(),
                   &done));
   clock.AdvanceTo(done);
-  return TableReader(txn_mgr, txn, TableMeta::Deserialize(bytes));
+  CLOUDIQ_ASSIGN_OR_RETURN(TableMeta meta, TableMeta::Deserialize(bytes));
+  return TableReader(txn_mgr, txn, std::move(meta));
 }
 
 Result<StorageObject*> TableReader::ObjectFor(uint64_t object_id) {
@@ -155,87 +153,59 @@ uint64_t TableReader::PageFirstRow(size_t partition, int column,
   return row;
 }
 
+template <typename Key>
+Result<IntervalSet> TableReader::ProbeIndex(
+    const std::vector<int>& columns, const PartitionIndexes<Key>& indexes,
+    int column, const Key& key) {
+  auto it = std::find(columns.begin(), columns.end(), column);
+  if (it == columns.end()) {
+    return Status::InvalidArgument("column has no index of this kind");
+  }
+  size_t slot = static_cast<size_t>(it - columns.begin());
+  if (indexes.objects[slot] == 0) return IntervalSet();  // no rows
+  CLOUDIQ_ASSIGN_OR_RETURN(StorageObject * object,
+                           ObjectFor(indexes.objects[slot]));
+  return PostingIndex<Key>::Lookup(object, indexes.page_ranges[slot], key);
+}
+
 Result<IntervalSet> TableReader::IndexLookup(size_t partition, int column,
                                              int64_t value) {
-  return IndexLookupRange(partition, column, value, value);
+  return ProbeIndex(meta_.schema.hg_index_columns,
+                    meta_.partitions[partition].hg_indexes, column, value);
 }
-
-Result<IntervalSet> TableReader::IndexLookupRange(size_t partition,
-                                                  int column, int64_t lo,
-                                                  int64_t hi) {
-  const TableSchema& schema = meta_.schema;
-  int slot = -1;
-  for (size_t s = 0; s < schema.hg_index_columns.size(); ++s) {
-    if (schema.hg_index_columns[s] == column) slot = static_cast<int>(s);
-  }
-  if (slot < 0) {
-    return Status::InvalidArgument("column has no HG index");
-  }
-  const PartitionMeta& pm = meta_.partitions[partition];
-  if (pm.index_objects[slot] == 0) return IntervalSet();  // empty partition
-  CLOUDIQ_ASSIGN_OR_RETURN(StorageObject * object,
-                           ObjectFor(pm.index_objects[slot]));
-  return HgIndex::LookupRange(object, pm.index_page_ranges[slot], lo, hi);
-}
-
-namespace {
-int DateIndexSlot(const TableSchema& schema, int column) {
-  for (size_t s = 0; s < schema.date_index_columns.size(); ++s) {
-    if (schema.date_index_columns[s] == column) {
-      return static_cast<int>(s);
-    }
-  }
-  return -1;
-}
-}  // namespace
 
 Result<IntervalSet> TableReader::DateIndexMonth(size_t partition,
                                                 int column, int year,
                                                 int month) {
-  int slot = DateIndexSlot(meta_.schema, column);
-  if (slot < 0) {
-    return Status::InvalidArgument("column has no DATE index");
-  }
-  const PartitionMeta& pm = meta_.partitions[partition];
-  if (pm.date_index_objects[slot] == 0) return IntervalSet();
-  CLOUDIQ_ASSIGN_OR_RETURN(StorageObject * object,
-                           ObjectFor(pm.date_index_objects[slot]));
-  return DateIndex::LookupMonth(object, pm.date_index_ranges[slot], year,
-                                month);
+  return ProbeIndex(meta_.schema.date_index_columns,
+                    meta_.partitions[partition].date_indexes, column,
+                    MonthKey(year, month));
 }
 
 Result<IntervalSet> TableReader::TextIndexAllWords(
     size_t partition, int column, const std::vector<std::string>& words) {
-  int slot = -1;
-  for (size_t s = 0; s < meta_.schema.text_index_columns.size(); ++s) {
-    if (meta_.schema.text_index_columns[s] == column) {
-      slot = static_cast<int>(s);
+  IntervalSet result;
+  for (size_t w = 0; w < words.size(); ++w) {
+    CLOUDIQ_ASSIGN_OR_RETURN(
+        IntervalSet rows,
+        ProbeIndex(meta_.schema.text_index_columns,
+                   meta_.partitions[partition].text_indexes, column,
+                   words[w]));
+    if (w == 0) {
+      result = std::move(rows);
+    } else {
+      // Intersect: keep only rows holding every word so far.
+      IntervalSet intersection;
+      for (const auto& iv : result.Intervals()) {
+        for (uint64_t v = iv.begin; v < iv.end; ++v) {
+          if (rows.Contains(v)) intersection.Insert(v);
+        }
+      }
+      result = std::move(intersection);
     }
+    if (result.empty()) break;
   }
-  if (slot < 0) {
-    return Status::InvalidArgument("column has no TEXT index");
-  }
-  const PartitionMeta& pm = meta_.partitions[partition];
-  if (pm.text_index_objects[slot] == 0) return IntervalSet();
-  CLOUDIQ_ASSIGN_OR_RETURN(StorageObject * object,
-                           ObjectFor(pm.text_index_objects[slot]));
-  return TextIndex::LookupAllWords(object, pm.text_index_ranges[slot],
-                                   words);
-}
-
-Result<IntervalSet> TableReader::DateIndexYears(size_t partition,
-                                                int column, int year_lo,
-                                                int year_hi) {
-  int slot = DateIndexSlot(meta_.schema, column);
-  if (slot < 0) {
-    return Status::InvalidArgument("column has no DATE index");
-  }
-  const PartitionMeta& pm = meta_.partitions[partition];
-  if (pm.date_index_objects[slot] == 0) return IntervalSet();
-  CLOUDIQ_ASSIGN_OR_RETURN(StorageObject * object,
-                           ObjectFor(pm.date_index_objects[slot]));
-  return DateIndex::LookupYearRange(object, pm.date_index_ranges[slot],
-                                    year_lo, year_hi);
+  return result;
 }
 
 }  // namespace cloudiq

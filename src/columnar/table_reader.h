@@ -15,7 +15,7 @@
 namespace cloudiq {
 
 // Snapshot-consistent read access to a loaded table: page reads with
-// decode, zone-map pruning, parallel prefetch, and HG index probes. One
+// decode, zone-map pruning, parallel prefetch, and index probes. One
 // TableReader per (transaction, table); storage objects are opened
 // lazily from the transaction's snapshot.
 class TableReader {
@@ -51,24 +51,18 @@ class TableReader {
   std::vector<uint64_t> PrunePagesInt(size_t partition, int column,
                                       int64_t lo, int64_t hi) const;
 
-  // HG index probe: partition-local row ids with column == value
-  // (column must be one of the schema's hg_index_columns).
+  // Index probes, each returning partition-local row ids. InvalidArgument
+  // when `column` is not in the schema's list for that index kind.
+  // HG: rows with column == value (hg_index_columns).
   Result<IntervalSet> IndexLookup(size_t partition, int column,
                                   int64_t value);
-  Result<IntervalSet> IndexLookupRange(size_t partition, int column,
-                                       int64_t lo, int64_t hi);
-
-  // DATE-index probes: rows whose DATE column falls in one calendar
-  // month, or in whole years [year_lo, year_hi] (column must be in the
-  // schema's date_index_columns).
+  // DATE: rows whose DATE column falls in calendar month (year, month)
+  // (date_index_columns).
   Result<IntervalSet> DateIndexMonth(size_t partition, int column,
                                      int year, int month);
-  Result<IntervalSet> DateIndexYears(size_t partition, int column,
-                                     int year_lo, int year_hi);
-
-  // TEXT-index probe: rows whose string column contains every word in
-  // `words` (candidate set; callers verify exact patterns). The column
-  // must be in the schema's text_index_columns.
+  // TEXT: rows whose string column contains every word in `words`, a
+  // candidate set that callers verify against the exact pattern
+  // (text_index_columns).
   Result<IntervalSet> TextIndexAllWords(
       size_t partition, int column, const std::vector<std::string>& words);
 
@@ -129,6 +123,12 @@ class TableReader {
 
  private:
   Result<StorageObject*> ObjectFor(uint64_t object_id);
+  // The one index probe: finds `column`'s slot in the schema list
+  // `columns` and looks `key` up in that slot of `indexes`.
+  template <typename Key>
+  Result<IntervalSet> ProbeIndex(const std::vector<int>& columns,
+                                 const PartitionIndexes<Key>& indexes,
+                                 int column, const Key& key);
 
   TransactionManager* txn_mgr_;
   Transaction* txn_;

@@ -93,6 +93,18 @@ class ByteReader {
     return p;
   }
 
+  // A u32 element count, checked against the bytes left: when `count`
+  // elements of at least `min_bytes` each cannot fit, latches overflow()
+  // and returns 0, so nothing is sized or looped by a corrupt count.
+  uint32_t GetCount(size_t min_bytes) {
+    uint32_t count = GetU32();
+    if (count > remaining() / min_bytes) {
+      overflow_ = true;
+      return 0;
+    }
+    return count;
+  }
+
   std::string GetString() {
     uint32_t n = GetU32();
     const uint8_t* p = GetPointer(n);

@@ -41,6 +41,11 @@ void QueryContext::ChargeMorselValues(uint64_t values) {
 
 namespace {
 
+// kAuto under the cost-blind policy pushes down when the estimated bytes
+// returned by the store are below this fraction of the bytes a pull would
+// move; the margin covers the per-request surcharge and estimate error.
+constexpr double kNdpAutoThreshold = 0.5;
+
 AttributionContext OperatorAttribution(QueryContext* ctx, int op_id,
                                        const std::string& name) {
   AttributionContext attr = ctx->attribution();
@@ -490,15 +495,15 @@ NdpScanPlan PlanNdpScan(QueryContext* ctx, TableReader* reader,
     chosen = 1;
     reason = "ndp=on: pushdown forced";
   } else if (policy == costopt::PlanPolicy::kCostBlind) {
-    bool push_wins = plan.est_push_bytes <
-                     ctx->options().ndp_auto_threshold * plan.est_pull_bytes;
+    bool push_wins =
+        plan.est_push_bytes < kNdpAutoThreshold * plan.est_pull_bytes;
     chosen = push_wins ? 1 : 0;
     char buf[160];
     std::snprintf(buf, sizeof(buf),
                   "cost_blind: est push %.6g B vs cold pull %.6g B "
                   "(threshold %.3g, %s)",
                   plan.est_push_bytes, plan.est_pull_bytes,
-                  ctx->options().ndp_auto_threshold,
+                  kNdpAutoThreshold,
                   candidates[0].detail.c_str());
     reason = buf;
   } else {

@@ -31,10 +31,6 @@ class QueryContext {
     // the object store (kAuto picks per scan with a bytes-moved
     // estimate; see PlanNdpScan in executor.cc).
     ndp::NdpMode ndp_mode = ndp::NdpMode::kOff;
-    // kAuto pushes down when the estimated bytes returned by the store
-    // are below this fraction of the bytes a pull would move — the
-    // margin covers the per-request surcharge and estimate error.
-    double ndp_auto_threshold = 0.5;
     // Cost-intelligent planning (src/costopt/). kCostBlind keeps the
     // bytes-moved heuristic in charge; the other policies hand the
     // pushdown-vs-pull decision to the cost model's USD/latency

@@ -51,23 +51,23 @@ std::vector<uint8_t> RleCompress(const std::vector<uint8_t>& in) {
   return out;
 }
 
-Result<std::vector<uint8_t>> RleDecompress(const std::vector<uint8_t>& in,
+Result<std::vector<uint8_t>> RleDecompress(const uint8_t* in, size_t size,
                                            uint64_t expected_size) {
   // First pass: validate every marker and sum the run and literal
   // lengths, so a corrupt length or `expected_size` fails here instead of
   // sizing an allocation.
   uint64_t total = 0;
   size_t i = 0;
-  while (i < in.size()) {
+  while (i < size) {
     uint8_t marker = in[i++];
     if (marker > 0x01) return Status::Corruption("bad RLE marker");
     size_t header = marker == 0x00 ? 5 : 4;  // [byte] u32 length
-    if (in.size() - i < header) return Status::Corruption("truncated RLE");
+    if (size - i < header) return Status::Corruption("truncated RLE");
     uint32_t len;
-    std::memcpy(&len, in.data() + i + header - 4, 4);
+    std::memcpy(&len, in + i + header - 4, 4);
     i += header;
     if (marker == 0x01) {
-      if (in.size() - i < len) return Status::Corruption("literal overrun");
+      if (size - i < len) return Status::Corruption("literal overrun");
       i += len;
     }
     if (len > expected_size - total) {
@@ -83,15 +83,15 @@ Result<std::vector<uint8_t>> RleDecompress(const std::vector<uint8_t>& in,
   std::vector<uint8_t> out(expected_size);
   size_t pos = 0;
   i = 0;
-  while (i < in.size()) {
+  while (i < size) {
     uint8_t marker = in[i++];
     size_t header = marker == 0x00 ? 5 : 4;
     uint32_t len;
-    std::memcpy(&len, in.data() + i + header - 4, 4);
+    std::memcpy(&len, in + i + header - 4, 4);
     if (len > 0 && marker == 0x00) {
       std::memset(out.data() + pos, in[i], len);
     } else if (len > 0) {
-      std::memcpy(out.data() + pos, in.data() + i + header, len);
+      std::memcpy(out.data() + pos, in + i + header, len);
     }
     pos += len;
     i += header + (marker == 0x01 ? len : 0);
@@ -126,12 +126,14 @@ Result<std::vector<uint8_t>> DecodePage(const std::vector<uint8_t>& frame) {
   uint64_t raw_size = reader.GetU64();
   uint64_t checksum = reader.GetU64();
 
-  std::vector<uint8_t> body(frame.begin() + kHeaderSize, frame.end());
+  const uint8_t* body = frame.data() + kHeaderSize;
+  size_t body_size = frame.size() - kHeaderSize;
   std::vector<uint8_t> payload;
   if (flags & kFlagRle) {
-    CLOUDIQ_ASSIGN_OR_RETURN(payload, RleDecompress(body, raw_size));
+    CLOUDIQ_ASSIGN_OR_RETURN(payload,
+                             RleDecompress(body, body_size, raw_size));
   } else {
-    payload = std::move(body);
+    payload.assign(body, body + body_size);
     if (payload.size() != raw_size) {
       return Status::Corruption("raw page size mismatch");
     }

@@ -27,7 +27,8 @@ Result<std::vector<uint8_t>> DecodePage(const std::vector<uint8_t>& frame);
 
 // Raw RLE primitives (exposed for tests).
 std::vector<uint8_t> RleCompress(const std::vector<uint8_t>& in);
-Result<std::vector<uint8_t>> RleDecompress(const std::vector<uint8_t>& in,
+// Reads the `size` compressed bytes at `in` in place.
+Result<std::vector<uint8_t>> RleDecompress(const uint8_t* in, size_t size,
                                            uint64_t expected_size);
 
 }  // namespace cloudiq

@@ -3,12 +3,10 @@
 #include <cstring>
 #include <set>
 
-#include "columnar/date_index.h"
 #include "columnar/encoding.h"
-#include "columnar/hg_index.h"
+#include "columnar/posting_index.h"
 #include "columnar/table_loader.h"
 #include "columnar/table_reader.h"
-#include "columnar/text_index.h"
 #include "columnar/value.h"
 #include "common/coding.h"
 #include "exec/batch.h"
@@ -483,10 +481,13 @@ TEST_F(TableStoreTest, HgIndexLookupMatchesScan) {
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
   EXPECT_EQ(rows->Count(), 1u);
   EXPECT_TRUE(rows->Contains(137));
-  // Range lookup.
-  Result<IntervalSet> range = reader->IndexLookupRange(0, 0, 10, 19);
-  ASSERT_TRUE(range.ok());
-  EXPECT_EQ(range->Count(), 10u);
+  // Each of a run of ids finds exactly its own row.
+  for (int64_t id = 10; id < 20; ++id) {
+    Result<IntervalSet> one = reader->IndexLookup(0, 0, id);
+    ASSERT_TRUE(one.ok());
+    EXPECT_EQ(one->Count(), 1u);
+    EXPECT_TRUE(one->Contains(static_cast<uint64_t>(id)));
+  }
   // Missing value.
   Result<IntervalSet> missing = reader->IndexLookup(0, 0, 100000);
   ASSERT_TRUE(missing.ok());
@@ -541,16 +542,22 @@ TEST_F(TableStoreTest, DateIndexMatchesColumnScan) {
   EXPECT_EQ(june->Count(), expected_june);
   EXPECT_GT(expected_june, 0u);
 
-  // Whole-year range.
-  Result<IntervalSet> y96_97 = reader->DateIndexYears(0, 1, 1996, 1997);
-  ASSERT_TRUE(y96_97.ok());
+  // The months of two whole years partition those years' rows.
+  uint64_t month_rows = 0;
+  for (int year = 1996; year <= 1997; ++year) {
+    for (int month = 1; month <= 12; ++month) {
+      Result<IntervalSet> rows = reader->DateIndexMonth(0, 1, year, month);
+      ASSERT_TRUE(rows.ok());
+      month_rows += rows->Count();
+    }
+  }
   uint64_t expected_years = 0;
   for (int64_t d : days) {
     int y, m, dd;
     CivilFromDays(d, &y, &m, &dd);
     if (y >= 1996 && y <= 1997) ++expected_years;
   }
-  EXPECT_EQ(y96_97->Count(), expected_years);
+  EXPECT_EQ(month_rows, expected_years);
 
   // Empty month and unindexed column.
   Result<IntervalSet> empty = reader->DateIndexMonth(0, 1, 1970, 1);
@@ -561,11 +568,11 @@ TEST_F(TableStoreTest, DateIndexMatchesColumnScan) {
 }
 
 TEST(TextIndexTest, TokenizerSplitsAndLowercases) {
-  EXPECT_EQ(TextIndex::Tokenize("Special, requests... NOTED-here"),
+  EXPECT_EQ(Tokenize("Special, requests... NOTED-here"),
             (std::vector<std::string>{"special", "requests", "noted",
                                       "here"}));
-  EXPECT_TRUE(TextIndex::Tokenize("  ...  ").empty());
-  EXPECT_EQ(TextIndex::Tokenize("abc123"),
+  EXPECT_TRUE(Tokenize("  ...  ").empty());
+  EXPECT_EQ(Tokenize("abc123"),
             std::vector<std::string>{"abc123"});
 }
 
@@ -654,13 +661,16 @@ TEST_F(TableStoreTest, PagesRespectPageSizeLimit) {
   EXPECT_GT(meta->partitions[0].columns[1].page_rows.size(), 1u);
 }
 
-TEST_F(TableStoreTest, SchemaSerializationRoundTrip) {
+// Table metadata with one index of each kind, plus a partition whose
+// index slots are all empty.
+TableMeta GoldenTableMeta(TableSchema schema) {
   TableMeta meta;
-  meta.schema = TestSchema();
+  meta.schema = std::move(schema);
+  meta.schema.date_index_columns = {1};
+  meta.schema.text_index_columns = {2};
   PartitionMeta pm;
   pm.row_count = 7;
   SegmentMeta seg;
-  seg.object_id = 123;
   seg.row_count = 7;
   ZoneMapEntry zone;
   zone.min_int = -5;
@@ -670,21 +680,193 @@ TEST_F(TableStoreTest, SchemaSerializationRoundTrip) {
   zone.row_count = 7;
   seg.zones.push_back(zone);
   seg.page_rows.push_back(7);
-  pm.columns.push_back(seg);
-  pm.index_objects.push_back(456);
-  pm.index_page_ranges.push_back({{1, 9}, {10, 20}});
+  seg.page_bytes.push_back(321);
+  for (uint64_t id : {123, 124, 125}) {
+    seg.object_id = id;
+    pm.columns.push_back(seg);
+  }
+  pm.hg_indexes.objects.push_back(456);
+  pm.hg_indexes.page_ranges.push_back({{1, 9}, {10, 20}});
+  pm.date_indexes.objects.push_back(457);
+  pm.date_indexes.page_ranges.push_back({{23880, 23890}});
+  pm.text_indexes.objects.push_back(458);
+  pm.text_indexes.page_ranges.push_back({{"alpha", "kilo"}, {"lima", "zulu"}});
   meta.partitions.push_back(pm);
+  PartitionMeta empty;
+  empty.columns.resize(3);
+  empty.hg_indexes.objects.push_back(0);
+  empty.hg_indexes.page_ranges.emplace_back();
+  empty.date_indexes.objects.push_back(0);
+  empty.date_indexes.page_ranges.emplace_back();
+  empty.text_indexes.objects.push_back(0);
+  empty.text_indexes.page_ranges.emplace_back();
+  meta.partitions.push_back(empty);
+  return meta;
+}
 
-  TableMeta back = TableMeta::Deserialize(meta.Serialize());
-  EXPECT_EQ(back.schema.name, "events");
-  EXPECT_EQ(back.schema.table_id, 42u);
-  EXPECT_EQ(back.schema.partition_bounds, std::vector<int64_t>{500});
-  EXPECT_EQ(back.schema.hg_index_columns, std::vector<int>{0});
-  ASSERT_EQ(back.partitions.size(), 1u);
-  EXPECT_EQ(back.partitions[0].columns[0].object_id, 123u);
-  EXPECT_EQ(back.partitions[0].columns[0].zones[0].min_int, -5);
-  EXPECT_EQ(back.partitions[0].columns[0].zones[0].max_string, "zz");
-  EXPECT_EQ(back.partitions[0].index_page_ranges[0][1].second, 20);
+TEST_F(TableStoreTest, SchemaSerializationRoundTrip) {
+  TableMeta meta = GoldenTableMeta(TestSchema());
+  std::vector<uint8_t> bytes = meta.Serialize();
+  // The stored format, pinned: these bytes are what every earlier build
+  // of the table catalog wrote for this metadata.
+  EXPECT_EQ(bytes.size(), 749u);
+  EXPECT_EQ(Checksum64(bytes.data(), bytes.size()), 0xe7021b0d7f2af6ecULL);
+
+  Result<TableMeta> back = TableMeta::Deserialize(bytes);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->schema.name, "events");
+  EXPECT_EQ(back->schema.table_id, 42u);
+  EXPECT_EQ(back->schema.partition_bounds, std::vector<int64_t>{500});
+  EXPECT_EQ(back->schema.hg_index_columns, std::vector<int>{0});
+  EXPECT_EQ(back->schema.date_index_columns, std::vector<int>{1});
+  EXPECT_EQ(back->schema.text_index_columns, std::vector<int>{2});
+  ASSERT_EQ(back->partitions.size(), 2u);
+  const PartitionMeta& pm = back->partitions[0];
+  EXPECT_EQ(pm.columns[0].object_id, 123u);
+  EXPECT_EQ(pm.columns[0].zones[0].min_int, -5);
+  EXPECT_EQ(pm.columns[0].zones[0].max_string, "zz");
+  EXPECT_EQ(pm.columns[0].page_bytes, std::vector<uint32_t>{321});
+  EXPECT_EQ(pm.hg_indexes.objects, std::vector<uint64_t>{456});
+  EXPECT_EQ(pm.hg_indexes.page_ranges[0][1].second, 20);
+  EXPECT_EQ(pm.date_indexes.page_ranges[0][0].first, 23880);
+  EXPECT_EQ(pm.text_indexes.objects, std::vector<uint64_t>{458});
+  EXPECT_EQ(pm.text_indexes.page_ranges[0][1].first, "lima");
+  EXPECT_EQ(back->partitions[1].text_indexes.objects,
+            std::vector<uint64_t>{0});
+  EXPECT_EQ(back->Serialize(), bytes);
+
+  // Segments or index slots that disagree with the schema are corrupt.
+  TableMeta short_segments = meta;
+  short_segments.partitions[1].columns.pop_back();
+  EXPECT_TRUE(TableMeta::Deserialize(short_segments.Serialize())
+                  .status()
+                  .IsCorruption());
+  meta.partitions[1].date_indexes.objects.clear();
+  EXPECT_TRUE(
+      TableMeta::Deserialize(meta.Serialize()).status().IsCorruption());
+}
+
+// Fixed postings for the golden-bytes test: integer keys with scattered
+// rows, and string keys enough to cut several pages.
+PostingIndex<int64_t>::Postings GoldenIntPostings() {
+  PostingIndex<int64_t>::Postings postings;
+  for (int64_t k = 0; k < 300; ++k) {
+    IntervalSet& rows = postings[k * 7 - 500];
+    rows.Insert(static_cast<uint64_t>(k));
+    rows.InsertRange(1000 + 3 * k, 1001 + 3 * k + k % 5);
+    rows.Insert(static_cast<uint64_t>(50000 + k * k));
+  }
+  return postings;
+}
+
+PostingIndex<std::string>::Postings GoldenTextPostings() {
+  PostingIndex<std::string>::Postings postings;
+  for (int k = 0; k < 400; ++k) {
+    IntervalSet& rows = postings["w" + std::to_string(k * 37 % 1000) +
+                                 std::string(k % 7, 'x')];
+    rows.Insert(2 * k);
+    rows.InsertRange(10 * k, 10 * k + k % 4 + 1);
+  }
+  return postings;
+}
+
+class PostingIndexPagesTest : public TableStoreTest {
+ protected:
+  // Builds `postings` into object `object_id`, commits, and returns the
+  // index pages read back, in page order; checks each page decodes to
+  // its share of the postings within its recorded key range.
+  template <typename Key>
+  std::vector<std::vector<uint8_t>> BuildAndReadPages(
+      uint64_t object_id,
+      const typename PostingIndex<Key>::Postings& postings) {
+    Transaction* txn = txn_mgr_->Begin();
+    Result<typename PostingIndex<Key>::PageRanges> ranges =
+        PostingIndex<Key>::Build(txn_mgr_.get(), txn, object_id,
+                                 h_.cloud_space, postings, 3000);
+    EXPECT_TRUE(ranges.ok()) << ranges.status().ToString();
+    EXPECT_TRUE(txn_mgr_->Commit(txn).ok());
+    std::vector<std::vector<uint8_t>> pages;
+    if (!ranges.ok()) return pages;
+
+    Transaction* rtxn = txn_mgr_->Begin();
+    Result<std::unique_ptr<StorageObject>> object =
+        txn_mgr_->OpenForRead(rtxn, object_id);
+    EXPECT_TRUE(object.ok());
+    auto next = postings.begin();
+    for (size_t p = 0; object.ok() && p < ranges->size(); ++p) {
+      Result<BufferManager::PageData> data = (*object)->ReadPage(p);
+      EXPECT_TRUE(data.ok());
+      if (!data.ok()) break;
+      pages.push_back(**data);
+      Result<typename PostingIndex<Key>::Entries> entries =
+          PostingIndex<Key>::DecodePage(pages.back());
+      EXPECT_TRUE(entries.ok());
+      if (!entries.ok()) break;
+      EXPECT_EQ(entries->front().first, (*ranges)[p].first);
+      EXPECT_EQ(entries->back().first, (*ranges)[p].second);
+      for (const auto& [key, rows] : *entries) {
+        EXPECT_EQ(key, next->first);
+        EXPECT_EQ(rows.Intervals().size(), next->second.IntervalCount());
+        EXPECT_EQ(rows.Count(), next->second.Count());
+        ++next;
+      }
+    }
+    EXPECT_TRUE(next == postings.end());
+    EXPECT_TRUE(txn_mgr_->Commit(rtxn).ok());
+    return pages;
+  }
+
+  static uint64_t Checksum(const std::vector<std::vector<uint8_t>>& pages,
+                           size_t* size) {
+    std::vector<uint8_t> all;
+    for (const auto& page : pages) {
+      all.insert(all.end(), page.begin(), page.end());
+    }
+    *size = all.size();
+    return Checksum64(all.data(), all.size());
+  }
+};
+
+// The stored index page format, pinned: these pages, and where the build
+// cuts them, are what every earlier build of the HG, DATE and TEXT
+// indexes wrote for these postings.
+TEST_F(PostingIndexPagesTest, GoldenPagesOfBothKeyTypes) {
+  size_t size = 0;
+  std::vector<std::vector<uint8_t>> int_pages =
+      BuildAndReadPages<int64_t>(4200090, GoldenIntPostings());
+  EXPECT_EQ(int_pages.size(), 8u);
+  EXPECT_EQ(Checksum(int_pages, &size), 0x429c991f631c8a52ULL);
+  EXPECT_EQ(size, 21632u);
+
+  std::vector<std::vector<uint8_t>> text_pages =
+      BuildAndReadPages<std::string>(4200060, GoldenTextPostings());
+  EXPECT_GT(text_pages.size(), 1u);
+  EXPECT_EQ(text_pages.size(), 10u);
+  EXPECT_EQ(Checksum(text_pages, &size), 0x9b86e107dc27d21cULL);
+  EXPECT_EQ(size, 23586u);
+}
+
+// A page whose count claims 2^32-1 entries must fail before anything is
+// sized by that claim.
+TEST(PostingIndexTest, InflatedCountIsCorruption) {
+  PostingIndex<int64_t>::Postings ints = GoldenIntPostings();
+  std::vector<uint8_t> int_page =
+      PostingIndex<int64_t>::EncodePage(ints.begin(), ints.end());
+  PostingIndex<std::string>::Postings words = GoldenTextPostings();
+  std::vector<uint8_t> text_page =
+      PostingIndex<std::string>::EncodePage(words.begin(), words.end());
+  ASSERT_TRUE(PostingIndex<int64_t>::DecodePage(int_page).ok());
+  ASSERT_TRUE(PostingIndex<std::string>::DecodePage(text_page).ok());
+
+  const uint32_t inflated = 0xFFFFFFFF;
+  std::memcpy(int_page.data(), &inflated, sizeof(inflated));
+  std::memcpy(text_page.data(), &inflated, sizeof(inflated));
+  EXPECT_TRUE(PostingIndex<int64_t>::DecodePage(int_page)
+                  .status()
+                  .IsCorruption());
+  EXPECT_TRUE(PostingIndex<std::string>::DecodePage(text_page)
+                  .status()
+                  .IsCorruption());
 }
 
 }  // namespace

@@ -7,15 +7,19 @@
 //  * crash recovery preserves every committed table and collects every
 //    orphan, wherever the crash lands;
 //  * query results do not depend on the buffer cache capacity;
-//  * the page codec and the column page decoder never crash on corrupted
-//    input.
+//  * the page codec, the column page decoder, the index page decoder and
+//    the table metadata decoder never crash on corrupted input.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <set>
+#include <string>
+#include <type_traits>
 
 #include "columnar/encoding.h"
+#include "columnar/posting_index.h"
+#include "columnar/schema.h"
 #include "engine/consistency_check.h"
 #include "engine/database.h"
 #include "exec/executor.h"
@@ -469,6 +473,221 @@ TEST(ColumnPageFuzzTest, MutatedPagesErrorOrKeepDeclaredSize) {
     }
   }
   EXPECT_EQ(encodings, (std::set<uint8_t>{1, 2, 3, 4, 5}));
+}
+
+// ---------------------------------------------------------------------------
+// Index page and table metadata decoder fuzz.
+// ---------------------------------------------------------------------------
+
+int64_t FuzzKey(Rng& rng, int64_t*) { return static_cast<int64_t>(rng.Next()); }
+
+std::string FuzzKey(Rng& rng, std::string*) {
+  std::string word(rng.Uniform(12), 'a');
+  for (char& c : word) c = static_cast<char>('a' + rng.Uniform(26));
+  return word;
+}
+
+template <typename Key>
+Key FuzzKey(Rng& rng) {
+  return FuzzKey(rng, static_cast<Key*>(nullptr));
+}
+
+IntervalSet FuzzRows(Rng& rng) {
+  IntervalSet rows;
+  for (uint64_t n = 1 + rng.Uniform(4); n > 0; --n) {
+    uint64_t begin = rng.Uniform(1000);
+    rows.InsertRange(begin, begin + 1 + rng.Uniform(50));
+  }
+  return rows;
+}
+
+void PutAt(std::vector<uint8_t>& bytes, size_t at, const void* value,
+           size_t size) {
+  if (at + size <= bytes.size()) std::memcpy(bytes.data() + at, value, size);
+}
+
+// A mutated index page must decode to an error or to exactly the entry
+// count its header declares.
+template <typename Key>
+void ExpectCleanIndexDecode(const std::vector<uint8_t>& page) {
+  Result<typename PostingIndex<Key>::Entries> r =
+      PostingIndex<Key>::DecodePage(page);
+  if (r.ok()) {
+    ASSERT_GE(page.size(), 4u);
+    uint32_t count = 0;
+    std::memcpy(&count, page.data(), sizeof(count));
+    EXPECT_EQ(r->size(), count);
+  }
+}
+
+template <typename Key>
+void FuzzIndexPages(uint64_t seed) {
+  using Index = PostingIndex<Key>;
+  Rng rng(seed);
+  for (int iter = 0; iter < 60; ++iter) {
+    typename Index::Postings postings;
+    for (uint64_t n = rng.Uniform(20); n > 0; --n) {
+      postings[FuzzKey<Key>(rng)] = FuzzRows(rng);
+    }
+    std::vector<uint8_t> page =
+        Index::EncodePage(postings.begin(), postings.end());
+    Result<typename Index::Entries> clean = Index::DecodePage(page);
+    ASSERT_TRUE(clean.ok());
+    ASSERT_EQ(clean->size(), postings.size());
+
+    for (int flip = 0; flip < 20; ++flip) {
+      std::vector<uint8_t> bad = page;
+      for (uint64_t n = 1 + rng.Uniform(3); n > 0; --n) {
+        bad[rng.Uniform(bad.size())] ^=
+            static_cast<uint8_t>(1u << rng.Uniform(8));
+      }
+      ExpectCleanIndexDecode<Key>(bad);
+    }
+    for (size_t cut = 0; cut < page.size(); ++cut) {
+      std::vector<uint8_t> truncated(page.begin(), page.begin() + cut);
+      EXPECT_FALSE(Index::DecodePage(truncated).ok()) << cut;
+    }
+    for (uint32_t count : {static_cast<uint32_t>(postings.size() + 1),
+                           uint32_t{0xFFFF}, uint32_t{0x7FFFFFFF},
+                           uint32_t{0xFFFFFFFF},
+                           static_cast<uint32_t>(rng.Next())}) {
+      std::vector<uint8_t> inflated = page;
+      PutAt(inflated, 0, &count, sizeof(count));
+      ExpectCleanIndexDecode<Key>(inflated);
+    }
+    if (postings.empty()) continue;
+    // The first entry's posting length sits after the count and its key.
+    std::vector<uint8_t> key;
+    PostingKey<Key>::Put(key, postings.begin()->first);
+    size_t len_at = 4 + key.size();
+    uint64_t len = 0;
+    std::memcpy(&len, page.data() + len_at, sizeof(len));
+    for (uint64_t inflated_len :
+         {len + 1, len + 16, uint64_t{0xFFFFFFFF}, uint64_t{1} << 63,
+          ~uint64_t{0}, rng.Next()}) {
+      std::vector<uint8_t> inflated = page;
+      PutAt(inflated, len_at, &inflated_len, sizeof(inflated_len));
+      ExpectCleanIndexDecode<Key>(inflated);
+    }
+    if constexpr (std::is_same_v<Key, std::string>) {
+      // And the first key's string length.
+      for (uint32_t key_len : {uint32_t{0xFFFFFFFF},
+                               static_cast<uint32_t>(page.size()),
+                               static_cast<uint32_t>(rng.Next())}) {
+        std::vector<uint8_t> inflated = page;
+        PutAt(inflated, 4, &key_len, sizeof(key_len));
+        ExpectCleanIndexDecode<Key>(inflated);
+      }
+    }
+  }
+}
+
+TEST(IndexPageFuzzTest, MutatedIntegerKeyPagesErrorOrKeepDeclaredCount) {
+  FuzzIndexPages<int64_t>(1515);
+}
+
+TEST(IndexPageFuzzTest, MutatedStringKeyPagesErrorOrKeepDeclaredCount) {
+  FuzzIndexPages<std::string>(1616);
+}
+
+template <typename Key>
+void FuzzIndexSlots(Rng& rng, size_t slots, PartitionIndexes<Key>* indexes) {
+  for (size_t s = 0; s < slots; ++s) {
+    bool empty = rng.Uniform(4) == 0;
+    indexes->objects.push_back(empty ? 0 : rng.Next());
+    auto& ranges = indexes->page_ranges.emplace_back();
+    for (uint64_t n = empty ? 0 : 1 + rng.Uniform(4); n > 0; --n) {
+      Key lo = FuzzKey<Key>(rng);
+      ranges.emplace_back(std::move(lo), FuzzKey<Key>(rng));
+    }
+  }
+}
+
+TableMeta FuzzTableMeta(Rng& rng) {
+  TableMeta meta;
+  TableSchema& schema = meta.schema;
+  schema.name = FuzzKey<std::string>(rng);
+  schema.table_id = rng.Uniform(1000);
+  for (uint64_t c = 1 + rng.Uniform(5); c > 0; --c) {
+    schema.columns.push_back({FuzzKey<std::string>(rng),
+                              static_cast<ColumnType>(rng.Uniform(3))});
+  }
+  int columns = static_cast<int>(schema.columns.size());
+  schema.partition_column = rng.Uniform(2) == 0 ? -1 : 0;
+  if (schema.partition_column >= 0) {
+    schema.partition_bounds = {100, 200};
+  }
+  for (std::vector<int>* list :
+       {&schema.hg_index_columns, &schema.date_index_columns,
+        &schema.text_index_columns}) {
+    for (uint64_t n = rng.Uniform(3); n > 0; --n) {
+      list->push_back(static_cast<int>(rng.Uniform(columns)));
+    }
+  }
+  for (size_t p = 0; p < schema.partition_count(); ++p) {
+    PartitionMeta& part = meta.partitions.emplace_back();
+    part.row_count = rng.Uniform(10000);
+    for (int c = 0; c < columns; ++c) {
+      SegmentMeta& seg = part.columns.emplace_back();
+      seg.object_id = rng.Next();
+      for (uint64_t n = rng.Uniform(4); n > 0; --n) {
+        ZoneMapEntry zone;
+        zone.min_int = static_cast<int64_t>(rng.Next());
+        zone.max_string = FuzzKey<std::string>(rng);
+        zone.row_count = static_cast<uint32_t>(rng.Uniform(5000));
+        seg.zones.push_back(zone);
+        seg.page_rows.push_back(zone.row_count);
+        seg.page_bytes.push_back(static_cast<uint32_t>(rng.Uniform(4096)));
+        seg.row_count += zone.row_count;
+      }
+    }
+    FuzzIndexSlots(rng, schema.hg_index_columns.size(), &part.hg_indexes);
+    FuzzIndexSlots(rng, schema.date_index_columns.size(), &part.date_indexes);
+    FuzzIndexSlots(rng, schema.text_index_columns.size(), &part.text_indexes);
+  }
+  return meta;
+}
+
+TEST(TableMetaFuzzTest, MutatedMetadataErrorsCleanly) {
+  Rng rng(2718);
+  for (int iter = 0; iter < 40; ++iter) {
+    TableMeta meta = FuzzTableMeta(rng);
+    std::vector<uint8_t> bytes = meta.Serialize();
+    Result<TableMeta> clean = TableMeta::Deserialize(bytes);
+    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+    ASSERT_EQ(clean->Serialize(), bytes);
+
+    // Bit flips: an error or a clean decode, never a crash.
+    for (int flip = 0; flip < 40; ++flip) {
+      std::vector<uint8_t> bad = bytes;
+      for (uint64_t n = 1 + rng.Uniform(3); n > 0; --n) {
+        bad[rng.Uniform(bad.size())] ^=
+            static_cast<uint8_t>(1u << rng.Uniform(8));
+      }
+      (void)TableMeta::Deserialize(bad);
+    }
+    // Every truncation is corrupt.
+    for (size_t cut = 0; cut < bytes.size(); ++cut) {
+      std::vector<uint8_t> truncated(bytes.begin(), bytes.begin() + cut);
+      EXPECT_TRUE(TableMeta::Deserialize(truncated).status().IsCorruption())
+          << cut;
+    }
+    // Inflated counts and lengths wherever they land.
+    for (int inflate = 0; inflate < 40; ++inflate) {
+      std::vector<uint8_t> bad = bytes;
+      size_t at = rng.Uniform(bad.size());
+      if (rng.Uniform(2) == 0) {
+        uint32_t count = rng.Uniform(2) == 0
+                             ? 0xFFFFFFFF
+                             : static_cast<uint32_t>(rng.Next());
+        PutAt(bad, at, &count, sizeof(count));
+      } else {
+        uint64_t len = rng.Uniform(2) == 0 ? ~uint64_t{0} : rng.Next();
+        PutAt(bad, at, &len, sizeof(len));
+      }
+      (void)TableMeta::Deserialize(bad);
+    }
+  }
 }
 
 }  // namespace

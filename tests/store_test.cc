@@ -87,7 +87,8 @@ TEST(PageCodecTest, DetectsCorruption) {
 TEST(RleTest, RunsAndLiterals) {
   std::vector<uint8_t> in = {1, 1, 1, 1, 1, 2, 3, 4, 5, 5, 5, 5, 9};
   std::vector<uint8_t> compressed = RleCompress(in);
-  Result<std::vector<uint8_t>> back = RleDecompress(compressed, in.size());
+  Result<std::vector<uint8_t>> back =
+      RleDecompress(compressed.data(), compressed.size(), in.size());
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value(), in);
 }
@@ -103,7 +104,9 @@ TEST(RleTest, HugeRawSizeIsCorruption) {
   EXPECT_TRUE(DecodePage(frame).status().IsCorruption());
 
   std::vector<uint8_t> compressed = RleCompress(payload);
-  EXPECT_TRUE(RleDecompress(compressed, huge).status().IsCorruption());
+  EXPECT_TRUE(RleDecompress(compressed.data(), compressed.size(), huge)
+                  .status()
+                  .IsCorruption());
   // Runs that add up past the claimed size fail before any fill.
   std::vector<uint8_t> runs;
   for (int i = 0; i < 3; ++i) {
@@ -111,9 +114,17 @@ TEST(RleTest, HugeRawSizeIsCorruption) {
     runs.push_back(1);
     PutU32(runs, 0xFFFFFFFF);
   }
-  EXPECT_TRUE(RleDecompress(runs, 0xFFFFFFFF).status().IsCorruption());
-  EXPECT_TRUE(RleDecompress({0x02}, 0).status().IsCorruption());
-  EXPECT_TRUE(RleDecompress({0x01, 9, 0, 0, 0, 1}, 9).status().IsCorruption());
+  EXPECT_TRUE(RleDecompress(runs.data(), runs.size(), 0xFFFFFFFF)
+                  .status()
+                  .IsCorruption());
+  const uint8_t bad_marker[] = {0x02};
+  EXPECT_TRUE(RleDecompress(bad_marker, sizeof(bad_marker), 0)
+                  .status()
+                  .IsCorruption());
+  const uint8_t literal_overrun[] = {0x01, 9, 0, 0, 0, 1};
+  EXPECT_TRUE(RleDecompress(literal_overrun, sizeof(literal_overrun), 9)
+                  .status()
+                  .IsCorruption());
 }
 
 TEST(FreelistTest, AllocateAndFree) {
